@@ -23,7 +23,8 @@ void CorpusBuilder::Add(bool decayed, ModuleKind kind, std::string name,
                         LambdaGroundTruth::ClassFn class_of,
                         bool popular_eligible) {
   ModuleSpec spec;
-  spec.id = "m" + ZeroPad(static_cast<uint64_t>(next_id_++), 3);
+  spec.id = "m";
+  spec.id += ZeroPad(static_cast<uint64_t>(next_id_++), 3);
   spec.name = std::move(name);
   spec.kind = kind;
   spec.inputs = std::move(inputs);

@@ -105,10 +105,14 @@ std::string EncodeModuleCommit(const ModuleCommit& commit,
                                 : kInvalidConcept;
       out += "in ";
       out += partition == kInvalidConcept ? "-" : ontology.NameOf(partition);
-      out += " " + example.inputs[i].ToString() + "\n";
+      out += ' ';
+      out += example.inputs[i].ToString();
+      out += '\n';
     }
     for (const Value& output : example.outputs) {
-      out += "out " + output.ToString() + "\n";
+      out += "out ";
+      out += output.ToString();
+      out += '\n';
     }
     out += "end\n";
   }

@@ -1,6 +1,8 @@
 #include "durability/durable_annotate.h"
 
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -92,8 +94,9 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
   // streams are per-run state, so concurrent durable runs sharing one
   // engine cannot interleave each other's journals.
   CommitStream commits(engine,
-                       [&journal](uint64_t, const std::string& payload) {
-                         return journal.Append(payload);
+                       [&journal](uint64_t,
+                                  std::span<const std::string> payloads) {
+                         return journal.Append(payloads);
                        });
 
   obs::Tracer* tracer = options.obs.tracer;
@@ -163,23 +166,59 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
     generate.CounterDeltas(before, engine.metrics().Snapshot());
   }
 
-  // Sequential commit phase, registration order: journal record first
-  // (write-ahead), then the registry — with the crash plan consulted at
-  // each unit the way a real crash would interleave with the appends.
+  // Sequential commit phase, registration order, in groups: each module's
+  // record is encoded into the open group, and the group is committed —
+  // written and synced once — when it fills the journal segment it lands
+  // in. Only then do the group's modules reach the registry and the report,
+  // so a module is acknowledged only once its bytes are durable. The crash
+  // plan is consulted at each module the way a real crash would interleave
+  // with the appends: a crash before X commits the group staged before X;
+  // a crash after X (or a torn write of X) commits X's group first.
   const CrashPlan& crash = options.crash;
   obs::ScopedSpan commit_phase(tracer, obs::SpanKind::kPhase, "commit",
                                run.id());
+  std::vector<std::string> group;
+  std::vector<ModuleCommit> staged;
+  size_t group_bytes = 0;
+  auto commit_group = [&]() -> Status {
+    Status durable = commits.CommitGroup(group);
+    group.clear();
+    group_bytes = 0;
+    std::vector<ModuleCommit> acknowledged = std::move(staged);
+    staged.clear();
+    DEXA_RETURN_IF_ERROR(durable);
+    for (ModuleCommit& commit : acknowledged) {
+      const size_t examples = commit.examples.size();
+      DEXA_RETURN_IF_ERROR(registry.SetDataExamples(
+          commit.module_id, std::move(commit.examples)));
+      report.transient_exhausted += commit.transient_exhausted;
+      report.examples += examples;
+      if (commit.decayed) {
+        ++report.decayed;
+        report.decayed_ids.push_back(commit.module_id);
+      } else {
+        ++report.annotated;
+      }
+      engine.metrics().RecordModuleReinvoked();
+    }
+    return Status::OK();
+  };
+
   for (size_t i = start; i < modules.size(); ++i) {
     const std::string& id = modules[i]->spec().id;
     if (crash.point == CrashPoint::kCrashBeforeCommit && crash.Matches(id)) {
-      report.run_status = Status::Cancelled(
-          "crash injected before commit of module '" + id + "'");
+      report.run_status = commit_group();
+      if (report.run_status.ok()) {
+        report.run_status = Status::Cancelled(
+            "crash injected before commit of module '" + id + "'");
+      }
       break;
     }
 
     Result<GenerationOutcome>& outcome = *outcomes[i];
     if (!outcome.ok()) {
-      report.run_status = outcome.status();
+      report.run_status = commit_group();
+      if (report.run_status.ok()) report.run_status = outcome.status();
       break;
     }
 
@@ -201,54 +240,40 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
       module_span.Counters(std::move(counters));
     }
 
-    ModuleCommit commit;
+    ModuleCommit& commit = staged.emplace_back();
     commit.module_id = id;
     commit.decayed = outcome->stats.decayed;
     commit.transient_exhausted = outcome->stats.transient_exhausted;
     commit.examples = std::move(outcome->examples);
+    group.push_back(EncodeModuleCommit(commit, ontology));
+    group_bytes += kJournalFrameOverhead + group.back().size();
 
-    Status appended = commits.Commit(EncodeModuleCommit(commit, ontology));
-    if (!appended.ok()) {
-      report.run_status = appended;
-      break;
+    const bool crash_here =
+        crash.Matches(id) && (crash.point == CrashPoint::kCrashAfterCommit ||
+                              crash.point == CrashPoint::kTornWrite);
+    if (crash_here || group_bytes >= journal.bytes_until_roll()) {
+      report.run_status = commit_group();
+      if (!report.run_status.ok()) break;
     }
-
-    size_t examples = commit.examples.size();
-    Status stored =
-        registry.SetDataExamples(id, std::move(commit.examples));
-    if (!stored.ok()) {
-      report.run_status = stored;
-      break;
-    }
-    report.transient_exhausted += commit.transient_exhausted;
-    report.examples += examples;
-    if (commit.decayed) {
-      ++report.decayed;
-      report.decayed_ids.push_back(id);
+    if (!crash_here) continue;
+    if (crash.point == CrashPoint::kCrashAfterCommit) {
+      report.run_status = Status::Cancelled(
+          "crash injected after commit of module '" + id + "'");
     } else {
-      ++report.annotated;
+      // The record for `id` lands half-written: seal the stream, then
+      // damage the tail the way an interrupted flush would.
+      DEXA_RETURN_IF_ERROR(journal.Seal());
+      DEXA_RETURN_IF_ERROR(TearJournalTail(journal.dir(), crash.seed,
+                                           crash.torn_flips,
+                                           crash.torn_truncate_bytes));
+      report.run_status = Status::Cancelled(
+          "torn-write crash injected at commit of module '" + id + "'");
     }
-    engine.metrics().RecordModuleReinvoked();
-
-    if (crash.Matches(id)) {
-      if (crash.point == CrashPoint::kCrashAfterCommit) {
-        report.run_status = Status::Cancelled(
-            "crash injected after commit of module '" + id + "'");
-        break;
-      }
-      if (crash.point == CrashPoint::kTornWrite) {
-        // The record for `id` lands half-written: seal the stream, then
-        // damage the tail the way an interrupted flush would.
-        DEXA_RETURN_IF_ERROR(journal.Seal());
-        DEXA_RETURN_IF_ERROR(TearJournalTail(journal.dir(), crash.seed,
-                                             crash.torn_flips,
-                                             crash.torn_truncate_bytes));
-        report.run_status = Status::Cancelled(
-            "torn-write crash injected at commit of module '" + id + "'");
-        break;
-      }
-    }
+    break;
   }
+  // Every early exit above set a failed run_status; a run that got through
+  // the whole registry still has its last, partial group open.
+  if (report.run_status.ok()) report.run_status = commit_group();
 
   commit_phase.End();
   report.metrics = engine.metrics().Snapshot();

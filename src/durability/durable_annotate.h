@@ -54,9 +54,10 @@ struct DurableAnnotateOptions {
 /// rule `legacy-run-entry` bans direct calls outside the durability layer.
 ///
 /// AnnotateRegistry with a write-ahead journal: every module's annotation
-/// is appended to `journal` (through a per-run ordered CommitStream)
-/// before it is committed to the registry, in registration order — so a
-/// process that dies mid-run can resume from the last committed module.
+/// is appended to `journal` (through a per-run ordered CommitStream) in
+/// registration order, in group commits of about one journal segment each,
+/// and reaches the registry only once its group is durable — so a process
+/// that dies mid-run can resume from the last committed module.
 ///
 /// Determinism: generation outcomes are schedule-independent (retry jitter
 /// and fault draws are keyed on stable hashes, never thread ids or wall

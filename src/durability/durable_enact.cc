@@ -73,8 +73,9 @@ Result<ResilientEnactmentResult> internal::EnactDurableImpl(
   // Per-run commit stream: see durable_annotate.cc — concurrent durable
   // runs sharing one engine must not interleave journals.
   CommitStream commits(engine,
-                       [&journal](uint64_t, const std::string& payload) {
-                         return journal.Append(payload);
+                       [&journal](uint64_t,
+                                  std::span<const std::string> payloads) {
+                         return journal.Append(payloads);
                        });
 
   if (fresh) {

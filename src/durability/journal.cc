@@ -176,18 +176,12 @@ Result<JournalRecovery> RecoverJournal(const std::string& dir,
   return recovery;
 }
 
-Status RunJournal::OpenSegment(size_t index) {
+Status RunJournal::OpenSegment(size_t index, std::string& staged) {
   const fs::path path = fs::path(dir_) / SegmentName(index);
   auto file = io_->NewWritableFile(path.string());
   if (!file.ok()) return file.status();
   out_ = std::move(*file);
-  Status header = out_->Append(
-      std::string_view(kJournalSegmentMagic, kJournalSegmentMagicLen));
-  if (header.ok()) header = out_->Sync();
-  if (!header.ok()) {
-    out_.reset();
-    return header;
-  }
+  staged.append(kJournalSegmentMagic, kJournalSegmentMagicLen);
   segment_open_ = true;
   segment_index_ = index;
   segment_payload_bytes_ = 0;
@@ -212,7 +206,9 @@ Result<RunJournal> RunJournal::Create(const std::string& dir,
   journal.options_ = options;
   journal.metrics_ = metrics;
   journal.io_ = &env;
-  DEXA_RETURN_IF_ERROR(journal.OpenSegment(0));
+  std::string header;
+  DEXA_RETURN_IF_ERROR(journal.OpenSegment(0, header));
+  DEXA_RETURN_IF_ERROR(journal.WriteDurable(header));
   return journal;
 }
 
@@ -262,11 +258,21 @@ Result<RunJournal> RunJournal::Resume(const std::string& dir,
   journal.io_ = &env;
   // Appends of the resumed run go into a fresh segment after the last valid
   // one; the crashed run's segments are sealed history.
-  DEXA_RETURN_IF_ERROR(journal.OpenSegment(next_index));
+  std::string header;
+  DEXA_RETURN_IF_ERROR(journal.OpenSegment(next_index, header));
+  DEXA_RETURN_IF_ERROR(journal.WriteDurable(header));
   return journal;
 }
 
-Status RunJournal::Append(std::string_view payload) {
+Status RunJournal::WriteDurable(std::string_view chunk) {
+  Status written = out_->Append(chunk);
+  if (written.ok()) written = out_->Sync();
+  if (!written.ok()) failed_ = true;
+  return written;
+}
+
+template <typename Payloads>
+Status RunJournal::AppendGroup(const Payloads& payloads) {
   if (failed_) {
     // A faulted journal stays faulted: appending past a torn tail would
     // bury damage behind valid-looking frames and break the valid-prefix
@@ -275,68 +281,61 @@ Status RunJournal::Append(std::string_view payload) {
         "journal in '" + dir_ +
         "' is failed after a disk fault; resume to continue");
   }
-  if (!segment_open_) {
-    Status opened = OpenSegment(segment_index_ + 1);
-    if (!opened.ok()) {
-      failed_ = true;
-      return opened;
+  // `chunk` holds the current segment's share of the group — a fresh
+  // segment's header included — until it is written and synced as one
+  // unit, right before a roll and at the end of the group.
+  std::string chunk;
+  uint64_t chunk_records = 0;
+  auto flush = [&]() -> Status {
+    if (chunk.empty()) return Status::OK();
+    DEXA_RETURN_IF_ERROR(WriteDurable(chunk));
+    records_appended_ += chunk_records;
+    if (metrics_ != nullptr) metrics_->RecordJournalRecord(chunk_records);
+    chunk.clear();
+    chunk_records = 0;
+    return Status::OK();
+  };
+  for (const auto& item : payloads) {
+    const std::string_view payload(item);
+    if (!segment_open_ || segment_payload_bytes_ >= options_.segment_bytes) {
+      Status rolled = flush();
+      if (rolled.ok() && segment_open_) rolled = Seal();
+      if (rolled.ok()) rolled = OpenSegment(segment_index_ + 1, chunk);
+      if (!rolled.ok()) {
+        failed_ = true;
+        return rolled;
+      }
     }
-  } else if (segment_payload_bytes_ >= options_.segment_bytes) {
-    Status rolled = Seal();
-    if (rolled.ok()) rolled = OpenSegment(segment_index_ + 1);
-    if (!rolled.ok()) {
-      failed_ = true;
-      return rolled;
-    }
+    const size_t frame_start = chunk.size();
+    chunk.push_back(kRecordMagic0);
+    chunk.push_back(kRecordMagic1);
+    PutU32Le(chunk, static_cast<uint32_t>(payload.size()));
+    PutU32Le(chunk, Crc32(payload));
+    chunk.append(payload);
+    segment_payload_bytes_ += chunk.size() - frame_start;
+    ++chunk_records;
   }
+  return flush();
+}
 
-  std::string frame;
-  frame.reserve(kJournalFrameOverhead + payload.size());
-  frame.push_back(kRecordMagic0);
-  frame.push_back(kRecordMagic1);
-  PutU32Le(frame, static_cast<uint32_t>(payload.size()));
-  PutU32Le(frame, Crc32(payload));
-  frame.append(payload);
+Status RunJournal::Append(std::span<const std::string> payloads) {
+  return AppendGroup(payloads);
+}
 
-  Status written = Status::OK();
-  if (options_.sync_each_record) {
-    written = out_->Append(frame);
-    if (written.ok()) written = out_->Sync();
-  } else {
-    // Batched-sync journals stage frames in memory and write the whole
-    // segment at once when it rolls or seals: the buffer is bounded by the
-    // segment cap, and the bytes on disk are identical to the per-record
-    // path's.
-    pending_.append(frame);
+Status RunJournal::Append(std::string_view payload) {
+  const std::string_view group[] = {payload};
+  return AppendGroup(group);
+}
+
+size_t RunJournal::bytes_until_roll() const {
+  if (!segment_open_ || segment_payload_bytes_ >= options_.segment_bytes) {
+    return options_.segment_bytes;  // The next frame opens a fresh segment.
   }
-  if (!written.ok()) {
-    failed_ = true;
-    return written;
-  }
-  segment_payload_bytes_ += frame.size();
-  ++records_appended_;
-  if (metrics_ != nullptr) metrics_->RecordJournalRecord();
-  return Status::OK();
+  return options_.segment_bytes - segment_payload_bytes_;
 }
 
 Status RunJournal::Seal() {
   if (!segment_open_) return Status::OK();
-  // Batched-sync journals flush the whole segment here instead of per
-  // record; a failure is a disk fault like any other.
-  if (!options_.sync_each_record) {
-    Status synced = Status::OK();
-    if (!pending_.empty()) {
-      synced = out_->Append(pending_);
-      pending_.clear();
-    }
-    if (synced.ok()) synced = out_->Sync();
-    if (!synced.ok()) {
-      failed_ = true;
-      out_.reset();
-      segment_open_ = false;
-      return synced;
-    }
-  }
   Status closed = out_->Close();
   out_.reset();
   segment_open_ = false;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,14 +21,6 @@ struct JournalOptions {
   /// exercise multi-segment recovery; the default keeps a 252-module
   /// annotation run in a handful of segments.
   size_t segment_bytes = 64 * 1024;
-  /// When true (the default, and the right setting for every live durable
-  /// run), each Append fsyncs before the commit is acknowledged. Bulk
-  /// writers of *derived* journals — the shard merge, whose output is
-  /// deterministically rebuildable from the per-shard journals that were
-  /// themselves synced record-by-record — may clear this to sync once per
-  /// segment (at Seal) instead. The on-disk bytes are identical either
-  /// way; only the crash-durability granularity changes.
-  bool sync_each_record = true;
 };
 
 /// The on-disk framing of the journal (see docs/DURABILITY.md):
@@ -44,10 +37,15 @@ inline constexpr size_t kJournalSegmentMagicLen = 8;
 inline constexpr size_t kJournalFrameOverhead = 10;  // magic+length+crc.
 
 /// A checksummed, segmented write-ahead journal for one annotation (or
-/// enactment) run. Every committed unit of work is appended as one framed
-/// record and flushed before the commit is acknowledged, so a process that
-/// dies mid-run loses at most the record being written — and a torn or
-/// bit-flipped tail is detected, not trusted.
+/// enactment) run. The durability unit is a *group*: Append takes a span of
+/// record payloads, frames each one, and returns OK only once the whole
+/// group is on disk — each segment's share of the group written with one
+/// write and made durable with one sync. So an acknowledged record is a
+/// durable record, and the committed prefix is the synced prefix. A
+/// process that dies mid-run loses at most the group being written, and a
+/// torn or bit-flipped tail is detected, not trusted. The bytes on disk
+/// depend only on the payload sequence and the segment cap, never on how
+/// the records were grouped.
 ///
 /// All bytes go through an IoEnv (default: IoEnv::Real()), so disk faults —
 /// injected by a FaultyIoEnv or real — surface as the seam's typed codes:
@@ -81,12 +79,25 @@ class RunJournal {
   RunJournal(RunJournal&&) = default;
   RunJournal& operator=(RunJournal&&) = default;
 
-  /// Appends one record (frame + CRC32) and flushes it to the OS. Rolls to
-  /// a new segment first when the current one is past the size cap. On a
-  /// disk fault the typed seam status comes back verbatim
-  /// (kResourceExhausted / kCorrupted) and the journal refuses further
+  /// Appends a group of records (frame + CRC32 each) and makes it durable.
+  /// The segment-roll check runs before every frame, exactly as for single
+  /// records, so a group may span segments; each segment's share is written
+  /// with one Append and one Sync of the segment file. OK means every
+  /// record of the group is durable. On a disk fault the typed seam status
+  /// comes back verbatim (kResourceExhausted / kCorrupted), no record of
+  /// the group counts as acknowledged, and the journal refuses further
   /// appends — the valid prefix on disk is the contract.
+  [[nodiscard]] Status Append(std::span<const std::string> payloads);
+
+  /// Appends one record: the one-record group.
   [[nodiscard]] Status Append(std::string_view payload);
+
+  /// Framed bytes (payload + kJournalFrameOverhead per record) after which
+  /// the next frame would open a new segment: the room left in the current
+  /// segment, or the whole cap when the next frame rolls anyway. A caller
+  /// that closes its group once it reaches this size fills the segment the
+  /// group lands in, so it pays one sync per segment.
+  size_t bytes_until_roll() const;
 
   /// Seals the current segment; the next Append opens a new one. Idempotent.
   [[nodiscard]] Status Seal();
@@ -99,17 +110,25 @@ class RunJournal {
  private:
   RunJournal() = default;
 
-  [[nodiscard]] Status OpenSegment(size_t index);
+  /// Creates segment file `index` and appends its header to `staged`, the
+  /// caller's next write to that segment (Create and Resume write it at
+  /// once; a roll inside a group sends it with the group's frames).
+  [[nodiscard]] Status OpenSegment(size_t index, std::string& staged);
+
+  /// Writes `chunk` to the open segment and syncs it; latches failed_ on a
+  /// fault.
+  [[nodiscard]] Status WriteDurable(std::string_view chunk);
+
+  /// The group append behind both Append overloads; `Payloads` is any
+  /// range of string-like payloads.
+  template <typename Payloads>
+  [[nodiscard]] Status AppendGroup(const Payloads& payloads);
 
   std::string dir_;
   JournalOptions options_;
   EngineMetrics* metrics_ = nullptr;
   IoEnv* io_ = nullptr;
   std::unique_ptr<WritableIoFile> out_;
-  /// Frames staged for the batched-sync path (!sync_each_record): written
-  /// and synced as one unit when the segment rolls or seals. Bounded by
-  /// the segment size cap.
-  std::string pending_;
   bool segment_open_ = false;
   bool failed_ = false;
   size_t segment_index_ = 0;

@@ -97,14 +97,6 @@ struct EngineOptions {
   /// pool is spawned and every batch runs inline on the caller.
   size_t threads = 0;
 
-  /// When true (the default and the only contract dexa's pipeline relies
-  /// on), batch results are returned in input order and per-task RNG
-  /// streams are split from `seed` by task index, so a run is bit-identical
-  /// at any thread count. The flag exists so a future best-effort mode
-  /// (early exit, unordered reduce) has a home; the current engine honors
-  /// the deterministic contract regardless.
-  bool deterministic = true;
-
   /// Base seed for RngFor(): per-task generators are forked from it, never
   /// shared across workers. Also salts the retry-jitter streams.
   uint64_t seed = 0x5eed;
@@ -165,10 +157,12 @@ class InvocationEngine {
   }
 
   /// Durable-commit hook: receives every committed unit of work of one
-  /// run, in commit order, with a strictly increasing sequence number. The
-  /// durability layer attaches a RunJournal appender; see CommitStream.
-  using CommitHook =
-      std::function<Status(uint64_t sequence, const std::string& payload)>;
+  /// run, in commit order, as groups of consecutive units; `first_sequence`
+  /// numbers the group's first unit and the rest follow it. The hook
+  /// returns OK only once the whole group is durable. The durability layer
+  /// attaches a RunJournal group appender; see CommitStream.
+  using CommitHook = std::function<Status(
+      uint64_t first_sequence, std::span<const std::string> payloads)>;
 
   /// Invokes `module` once, counting the invocation into the engine
   /// metrics. The single-combination path every sequential consumer
@@ -283,10 +277,11 @@ class InvocationEngine {
 /// engine without interleaving their journals (the original engine-global
 /// SetCommitHook allowed exactly one durable run per engine — the shape the
 /// serve daemon cannot live with). Consumers with a sequential-commit phase
-/// push each committed unit through Commit(), which assigns the stream's
-/// next sequence number and counts the commit into the engine metrics; the
-/// stream serializes hook invocations but cannot invent an order, so
-/// Commit() must never be called from the parallel fan-out.
+/// push committed units through CommitGroup() (or Commit() for a single
+/// unit), which assigns the stream's next sequence numbers and counts each
+/// unit into the engine metrics; the stream serializes hook invocations but
+/// cannot invent an order, so neither may be called from the parallel
+/// fan-out. A unit is acknowledged only when its group's call returns OK.
 class CommitStream {
  public:
   CommitStream(InvocationEngine& engine, InvocationEngine::CommitHook hook)
@@ -295,12 +290,20 @@ class CommitStream {
   CommitStream(const CommitStream&) = delete;
   CommitStream& operator=(const CommitStream&) = delete;
 
-  /// Pushes one committed unit through the hook (no-op without one).
-  [[nodiscard]] Status Commit(const std::string& payload) {
+  /// Pushes a group of committed units through the hook as one durable
+  /// unit, numbered consecutively (no-op without a hook).
+  [[nodiscard]] Status CommitGroup(std::span<const std::string> payloads) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!hook_) return Status::OK();
-    engine_->metrics().RecordCommit();
-    return hook_(sequence_++, payload);
+    if (!hook_ || payloads.empty()) return Status::OK();
+    engine_->metrics().RecordCommit(payloads.size());
+    const uint64_t first = sequence_;
+    sequence_ += payloads.size();
+    return hook_(first, payloads);
+  }
+
+  /// Pushes one committed unit through the hook: the one-unit group.
+  [[nodiscard]] Status Commit(const std::string& payload) {
+    return CommitGroup(std::span<const std::string>(&payload, 1));
   }
 
   /// Units committed so far.

@@ -84,9 +84,11 @@ class EngineMetrics {
   void RecordInjectedFault() {
     injected_faults_.fetch_add(1, std::memory_order_relaxed);
   }
-  void RecordCommit() { commits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordJournalRecord() {
-    journal_records_.fetch_add(1, std::memory_order_relaxed);
+  void RecordCommit(uint64_t units = 1) {
+    commits_.fetch_add(units, std::memory_order_relaxed);
+  }
+  void RecordJournalRecord(uint64_t records = 1) {
+    journal_records_.fetch_add(records, std::memory_order_relaxed);
   }
   void RecordSegmentSealed() {
     journal_segments_sealed_.fetch_add(1, std::memory_order_relaxed);

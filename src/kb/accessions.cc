@@ -8,6 +8,15 @@ namespace dexa {
 
 namespace {
 
+/// `letter` followed by `i` mod 100000 zero-padded to five digits — the
+/// shape of UniProt, KEGG glycan/ligand/compound and disease ids. Appends
+/// into a fresh string rather than prepending to a temporary.
+std::string LetterAndFiveDigits(char letter, uint64_t i) {
+  std::string id(1, letter);
+  id += ZeroPad(i % 100000, 5);
+  return id;
+}
+
 bool AllDigits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
@@ -36,7 +45,7 @@ bool AllLower(std::string_view s) {
 
 std::string MakeUniprotAccession(uint64_t i) {
   static constexpr char kLetters[] = {'P', 'Q', 'O'};
-  return std::string(1, kLetters[i % 3]) + ZeroPad(i % 100000, 5);
+  return LetterAndFiveDigits(kLetters[i % 3], i);
 }
 
 bool IsUniprotAccession(std::string_view s) {
@@ -93,19 +102,25 @@ bool IsEnzymeId(std::string_view s) {
   return true;
 }
 
-std::string MakeGlycanId(uint64_t i) { return "G" + ZeroPad(i % 100000, 5); }
+std::string MakeGlycanId(uint64_t i) {
+  return LetterAndFiveDigits('G', i);
+}
 
 bool IsGlycanId(std::string_view s) {
   return s.size() == 6 && s[0] == 'G' && AllDigits(s.substr(1));
 }
 
-std::string MakeLigandId(uint64_t i) { return "L" + ZeroPad(i % 100000, 5); }
+std::string MakeLigandId(uint64_t i) {
+  return LetterAndFiveDigits('L', i);
+}
 
 bool IsLigandId(std::string_view s) {
   return s.size() == 6 && s[0] == 'L' && AllDigits(s.substr(1));
 }
 
-std::string MakeCompoundId(uint64_t i) { return "C" + ZeroPad(i % 100000, 5); }
+std::string MakeCompoundId(uint64_t i) {
+  return LetterAndFiveDigits('C', i);
+}
 
 bool IsCompoundId(std::string_view s) {
   return s.size() == 6 && s[0] == 'C' && AllDigits(s.substr(1));
@@ -142,7 +157,9 @@ bool IsPfamId(std::string_view s) {
   return StartsWith(s, "PF") && s.size() == 7 && AllDigits(s.substr(2));
 }
 
-std::string MakeDiseaseId(uint64_t i) { return "H" + ZeroPad(i % 100000, 5); }
+std::string MakeDiseaseId(uint64_t i) {
+  return LetterAndFiveDigits('H', i);
+}
 
 bool IsDiseaseId(std::string_view s) {
   return s.size() == 6 && s[0] == 'H' && AllDigits(s.substr(1));

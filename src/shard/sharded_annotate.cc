@@ -276,13 +276,7 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
 
   MergeReport out;
   out.merged_dir = MergedDir(options.root);
-  // The merged journal is derived data — rebuildable from the per-shard
-  // journals, which were synced record-by-record as they were written — so
-  // it batches its fsyncs per segment instead of per record. Framing (and
-  // therefore the byte-equality contract) is unaffected.
-  JournalOptions merged_options = options.journal;
-  merged_options.sync_each_record = false;
-  auto merged = RunJournal::Create(out.merged_dir, merged_options,
+  auto merged = RunJournal::Create(out.merged_dir, options.journal,
                                    /*metrics=*/nullptr, io);
   if (!merged.ok()) return merged.status();
 
@@ -296,6 +290,33 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
   header.kb_checksum = manifest->kb_checksum;
   DEXA_RETURN_IF_ERROR(merged->Append(EncodeAnnotateRunHeader(header)));
 
+  // The payloads go over in groups that each fill one merged segment, like
+  // the durable run loop's: one write and one sync per segment. A group's
+  // modules reach the caller registry once the group is durable.
+  std::vector<std::string> group;
+  std::vector<ModuleCommit*> staged;
+  size_t group_bytes = 0;
+  auto commit_group = [&]() -> Status {
+    DEXA_RETURN_IF_ERROR(merged->Append(group));
+    group.clear();
+    group_bytes = 0;
+    for (ModuleCommit* commit : staged) {
+      const size_t examples = commit->examples.size();
+      DEXA_RETURN_IF_ERROR(registry.SetDataExamples(
+          commit->module_id, std::move(commit->examples)));
+      out.merged.transient_exhausted += commit->transient_exhausted;
+      out.merged.examples += examples;
+      if (commit->decayed) {
+        ++out.merged.decayed;
+        out.merged.decayed_ids.push_back(commit->module_id);
+      } else {
+        ++out.merged.annotated;
+      }
+    }
+    staged.clear();
+    return Status::OK();
+  };
+
   std::vector<size_t> cursor(manifest->shards, 0);
   for (const ModulePtr& module : registry.AvailableModules()) {
     const std::string& id = module->spec().id;
@@ -303,23 +324,17 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
         ShardOfModule(id, manifest->shards, manifest->partition_salt);
     // records[k][0] is the shard header; commits[k][i] decodes
     // records[k][i + 1] (ids already verified against the partition above).
-    DEXA_RETURN_IF_ERROR(merged->Append(records[k][cursor[k] + 1]));
-    ModuleCommit& commit = commits[k][cursor[k]++];
-    const size_t examples = commit.examples.size();
-    DEXA_RETURN_IF_ERROR(
-        registry.SetDataExamples(id, std::move(commit.examples)));
-    out.merged.transient_exhausted += commit.transient_exhausted;
-    out.merged.examples += examples;
-    if (commit.decayed) {
-      ++out.merged.decayed;
-      out.merged.decayed_ids.push_back(id);
-    } else {
-      ++out.merged.annotated;
+    group.push_back(std::move(records[k][cursor[k] + 1]));
+    group_bytes += kJournalFrameOverhead + group.back().size();
+    staged.push_back(&commits[k][cursor[k]++]);
+    if (group_bytes >= merged->bytes_until_roll()) {
+      DEXA_RETURN_IF_ERROR(commit_group());
     }
   }
-  // Flush the batched tail segment through to disk. Sealing writes no
-  // bytes, so the merged journal still compares byte-identical to a
-  // completed one-shot run (which leaves its tail segment unsealed).
+  DEXA_RETURN_IF_ERROR(commit_group());
+  // Sealing writes no bytes, so the merged journal still compares
+  // byte-identical to a completed one-shot run (which leaves its tail
+  // segment unsealed).
   out.records = merged->records_appended();
   DEXA_RETURN_IF_ERROR(merged->Seal());
   return out;

@@ -363,8 +363,14 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
   }
 
   // The live daemon: randomized fault profiles, four tenants, one batch.
+  // A durable annotate run writes its journal in group commits, one write
+  // and one sync per segment: on the paper corpus its I/O env sees writes
+  // and syncs 1–2 setting the run up, 3 for the run-header record, 4–8 for
+  // the module groups and 9 for the DONE marker. Its EIO and fsync faults
+  // are drawn from 4–8, so each lands inside a module group.
   Rng rng(0xC4A05);
   size_t faulted = 0;
+  std::vector<bool> group_faulted(kRuns, false);
   {
     auto env = MakeEnv(root + "/live", 4);
     ServerOptions options;
@@ -389,13 +395,19 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
           break;
         case 2:  // Flaky device EIO on a later write.
           request += ",\"io_eio_write\":\"" +
-                     std::to_string(3 + rng.NextIndex(40)) + "\"";
+                     std::to_string(annotate ? 4 + rng.NextIndex(5)
+                                             : 3 + rng.NextIndex(40)) +
+                     "\"";
           ++faulted;
+          group_faulted[i] = annotate;
           break;
         case 3:  // fsync loses writeback.
           request += ",\"io_fsync_fail\":\"" +
-                     std::to_string(3 + rng.NextIndex(10)) + "\"";
+                     std::to_string(annotate ? 4 + rng.NextIndex(5)
+                                             : 3 + rng.NextIndex(10)) +
+                     "\"";
           ++faulted;
+          group_faulted[i] = annotate;
           break;
         case 4:  // DONE-marker rename fails: run completes, marker missing.
           request += ",\"io_rename_fail\":\"2\"";
@@ -410,6 +422,8 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
       is_annotate.push_back(annotate);
     }
     ASSERT_GE(faulted, 3u) << "seed produced too few faults to be a test";
+    ASSERT_GE(std::count(group_faulted.begin(), group_faulted.end(), true), 1)
+        << "no injected fault lands inside an annotate group";
     Response(server, "{\"op\":\"drain\"}");
 
     // Every run ended typed: done, or failed with a disk-fault status —
@@ -419,6 +433,10 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
           server, "{\"op\":\"status\",\"id\":\"" + ids[i] + "\"}");
       ASSERT_TRUE(status["state"] == "done" || status["state"] == "failed")
           << status["state"];
+      if (group_faulted[i]) {
+        EXPECT_EQ(status["state"], "failed")
+            << "run " << i << ": its group fault never fired";
+      }
       if (status["state"] == "failed") {
         EXPECT_FALSE(status["outcome"].empty());
         EXPECT_TRUE(

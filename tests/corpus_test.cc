@@ -218,7 +218,7 @@ TEST_F(CorpusTest, ModuleIdsAreDenseAndStable) {
   // reproducible annotation dumps.
   auto modules = corpus().registry->AllModules();
   for (size_t i = 0; i < modules.size(); ++i) {
-    EXPECT_EQ(modules[i]->spec().id, "m" + ZeroPad(i, 3));
+    EXPECT_EQ(modules[i]->spec().id, StrFormat("m%03zu", i));
   }
 }
 

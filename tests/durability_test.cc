@@ -3,9 +3,11 @@
 // crash-resume determinism (byte-identical state at any thread count),
 // atomic snapshot/restore, and durable workflow enactment.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "core/engine_config.h"
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
+#include "common/io_env.h"
 #include "durability/durable_annotate.h"
 #include "durability/durable_enact.h"
 #include "durability/journal.h"
@@ -45,6 +48,76 @@ std::unique_ptr<ModuleRegistry> FreshRegistry() {
   auto wrapped = WrapRegistryWithFaults(*env.corpus.registry, FaultProfile{});
   EXPECT_TRUE(wrapped.ok()) << wrapped.status();
   return std::move(wrapped).value();
+}
+
+/// Forwards to the real filesystem and counts the file writes and syncs
+/// that pass through it.
+class CountingIoEnv final : public IoEnv {
+ public:
+  Result<std::unique_ptr<WritableIoFile>> NewWritableFile(
+      const std::string& path) override {
+    auto file = IoEnv::Real().NewWritableFile(path);
+    if (!file.ok()) return file.status();
+    return std::unique_ptr<WritableIoFile>(
+        std::make_unique<File>(std::move(file).value(), this));
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    return IoEnv::Real().ReadFile(path);
+  }
+  Result<MmapRegion> MapReadOnly(const std::string& path) override {
+    return IoEnv::Real().MapReadOnly(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return IoEnv::Real().Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return IoEnv::Real().RemoveFile(path);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return IoEnv::Real().Truncate(path, size);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return IoEnv::Real().CreateDirs(dir);
+  }
+
+  uint64_t appends = 0;
+  uint64_t syncs = 0;
+
+ private:
+  class File final : public WritableIoFile {
+   public:
+    File(std::unique_ptr<WritableIoFile> base, CountingIoEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(std::string_view data) override {
+      ++env_->appends;
+      return base_->Append(data);
+    }
+    Status Sync() override {
+      ++env_->syncs;
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableIoFile> base_;
+    CountingIoEnv* env_;
+  };
+};
+
+/// The bytes of every journal segment in `dir`, in segment order.
+std::vector<std::string> SegmentBytes(const std::string& dir) {
+  std::vector<fs::path> paths;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".seg") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::string> bytes;
+  for (const fs::path& path : paths) {
+    auto content = IoEnv::Real().ReadFile(path.string());
+    EXPECT_TRUE(content.ok()) << content.status();
+    bytes.push_back(content.ok() ? *content : std::string());
+  }
+  return bytes;
 }
 
 TEST(Crc32Test, MatchesTheIeeeCheckVector) {
@@ -185,6 +258,80 @@ TEST(RunJournalTest, DamagedHeaderEndsTheJournalBeforeAnyRecord) {
   EXPECT_TRUE(scan.status.IsCorrupted());
   EXPECT_TRUE(scan.records.empty());
   EXPECT_EQ(scan.valid_bytes, 0u);
+}
+
+TEST(RunJournalTest, GroupAppendWritesTheSameBytesWithOneSyncPerSegment) {
+  JournalOptions options;
+  options.segment_bytes = 256;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 20; ++i) {
+    payloads.push_back("record-" + std::to_string(i) + "-" +
+                       std::string(40 + 13 * (i % 5), 'g'));
+  }
+
+  const std::string single_dir = FreshDir("group-single");
+  CountingIoEnv single_io;
+  {
+    auto journal = RunJournal::Create(single_dir, options, nullptr, &single_io);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE(journal->Append(payload).ok());
+    }
+  }
+
+  // The whole sequence as one group: identical segment bytes, but one
+  // write and one sync per segment instead of one per record.
+  const std::string group_dir = FreshDir("group-whole");
+  CountingIoEnv group_io;
+  {
+    auto journal = RunJournal::Create(group_dir, options, nullptr, &group_io);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(journal->Append(payloads).ok());
+    EXPECT_EQ(journal->records_appended(), payloads.size());
+  }
+  const std::vector<std::string> segments = SegmentBytes(single_dir);
+  ASSERT_GT(segments.size(), 3u);
+  EXPECT_EQ(SegmentBytes(group_dir), segments);
+  // Create writes and syncs segment 0's header; the group then takes one
+  // write and one sync per segment, the later headers riding along.
+  EXPECT_EQ(group_io.syncs, 1 + segments.size());
+  EXPECT_EQ(group_io.appends, 1 + segments.size());
+  // Record at a time, every record is a group of its own.
+  EXPECT_EQ(single_io.syncs, 1 + payloads.size());
+
+  // How the records are grouped never shows on disk.
+  const std::string mixed_dir = FreshDir("group-mixed");
+  {
+    auto journal = RunJournal::Create(mixed_dir, options);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (size_t at = 0; at < payloads.size(); at += 3) {
+      const size_t n = std::min<size_t>(3, payloads.size() - at);
+      ASSERT_TRUE(
+          journal->Append(std::span<const std::string>(&payloads[at], n)).ok());
+    }
+  }
+  EXPECT_EQ(SegmentBytes(mixed_dir), segments);
+  auto recovery = RecoverJournal(mixed_dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_FALSE(recovery->tail_discarded());
+  EXPECT_EQ(recovery->records, payloads);
+}
+
+TEST(RunJournalTest, GroupWhoseSyncFailsIsNotAcknowledged) {
+  const std::string dir = FreshDir("group-fsync");
+  IoFaultProfile profile;
+  profile.fsync_fail_at = 3;  // 1: segment header, 2: first group.
+  FaultyIoEnv faulty(profile);
+  auto journal = RunJournal::Create(dir, {}, nullptr, &faulty);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  const std::vector<std::string> first = {"a", "b"};
+  const std::vector<std::string> second = {"c", "d", "e"};
+  ASSERT_TRUE(journal->Append(first).ok());
+  Status failed = journal->Append(second);
+  EXPECT_TRUE(failed.IsCorrupted()) << failed;
+  EXPECT_EQ(journal->records_appended(), first.size());
+  // The journal latches after the fault.
+  EXPECT_TRUE(journal->Append("f").IsUnavailable());
 }
 
 TEST(SnapshotTest, AtomicWriteLeavesNoTemporaries) {
@@ -401,6 +548,206 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param).module_index) + "_t" +
              std::to_string(std::get<0>(info.param));
     });
+
+TEST(CommitStreamTest, GroupsNumberUnitsConsecutivelyAndCountEach) {
+  InvocationEngine engine(EngineOptions{.threads = 1});
+  std::vector<std::pair<uint64_t, size_t>> calls;
+  CommitStream stream(engine, [&calls](uint64_t first,
+                                       std::span<const std::string> group) {
+    calls.emplace_back(first, group.size());
+    return Status::OK();
+  });
+  const std::vector<std::string> three = {"a", "b", "c"};
+  const std::vector<std::string> two = {"e", "f"};
+  ASSERT_TRUE(stream.CommitGroup(three).ok());
+  ASSERT_TRUE(stream.Commit("d").ok());
+  ASSERT_TRUE(stream.CommitGroup(two).ok());
+  ASSERT_TRUE(stream.CommitGroup({}).ok());  // An empty group is no call.
+  EXPECT_EQ(calls, (std::vector<std::pair<uint64_t, size_t>>{
+                       {0, 3}, {3, 1}, {4, 2}}));
+  EXPECT_EQ(stream.committed(), 6u);
+  EXPECT_EQ(engine.metrics().Snapshot().commits, 6u);
+}
+
+/// A fresh durable annotation of the paper corpus into `dir` through `io`,
+/// at 1 thread; returns the report.
+Result<AnnotateReport> DurableAnnotate(ModuleRegistry& registry,
+                                       const std::string& dir,
+                                       JournalOptions journal_options,
+                                       IoEnv* io,
+                                       const DurableAnnotateOptions& options) {
+  const auto& env = GetEnvironment();
+  EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  auto engine = config.BuildEngine();
+  ExampleGenerator generator = config.MakeGenerator(
+      env.corpus.ontology.get(), env.pool.get(), engine.get());
+  auto journal =
+      RunJournal::Create(dir, journal_options, &engine->metrics(), io);
+  if (!journal.ok()) return journal.status();
+  return AnnotateRegistryDurable(generator, registry, *env.corpus.ontology,
+                                 *journal, options);
+}
+
+TEST(GroupCommitTest, DurableAnnotateSyncsPerSegmentNotPerModule) {
+  JournalOptions options;
+  options.segment_bytes = 4096;  // Many segments, so the bound bites.
+  const std::string dir = FreshDir("group-count");
+  CountingIoEnv io;
+  auto registry = FreshRegistry();
+  auto report = DurableAnnotate(*registry, dir, options, &io, {});
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->complete()) << report->run_status;
+  const size_t modules = registry->AvailableModules().size();
+  EXPECT_EQ(report->annotated + report->decayed, modules);
+
+  // One sync per segment, plus the first segment's header and the
+  // run-header record — not one per module.
+  const std::vector<std::string> segments = SegmentBytes(dir);
+  ASSERT_GT(segments.size(), 10u);
+  EXPECT_LE(io.syncs, segments.size() + 2);
+  EXPECT_LT(io.syncs * 4, modules);
+  EXPECT_EQ(io.appends, io.syncs);
+
+  // The same bytes as a record-at-a-time journal of the same payloads.
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), modules + 1);
+  const std::string single_dir = FreshDir("group-count-single");
+  {
+    auto single = RunJournal::Create(single_dir, options);
+    ASSERT_TRUE(single.ok()) << single.status();
+    for (const std::string& record : recovery->records) {
+      ASSERT_TRUE(single->Append(record).ok());
+    }
+  }
+  EXPECT_EQ(SegmentBytes(single_dir), segments);
+}
+
+TEST(GroupCommitTest, FsyncFailureOnAGroupAcknowledgesNoneOfItAndResumes) {
+  const auto& env = GetEnvironment();
+  const std::string baseline =
+      UninterruptedRunState(1, FreshDir("group-fsync-baseline"));
+
+  JournalOptions options;
+  options.segment_bytes = 4096;
+
+  // Syncs 1 and 2 are segment 0's header and the run-header record; 3 and
+  // on are module groups, one per segment. Sync 6 fails the fourth group,
+  // so the acknowledged modules are those of segments 0-2 of a fault-free
+  // journal.
+  size_t acknowledged = 0;
+  {
+    const std::string clean_dir = FreshDir("group-fsync-clean");
+    auto clean_registry = FreshRegistry();
+    auto clean = DurableAnnotate(*clean_registry, clean_dir, options, nullptr,
+                                 {});
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    const std::vector<std::string> segments = SegmentBytes(clean_dir);
+    ASSERT_GT(segments.size(), 4u);
+    for (size_t k = 0; k < 3; ++k) {
+      acknowledged += ScanSegment(segments[k]).records.size();
+    }
+    --acknowledged;  // The run header.
+  }
+
+  const std::string dir = FreshDir("group-fsync");
+  auto registry = FreshRegistry();
+  {
+    IoFaultProfile profile;
+    profile.fsync_fail_at = 6;
+    FaultyIoEnv faulty(profile);
+    auto report = DurableAnnotate(*registry, dir, options, &faulty, {});
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->run_status.IsCorrupted()) << report->run_status;
+    EXPECT_EQ(faulty.faults_injected(), 1u);
+
+    // The acknowledged prefix is the three synced groups; no module of the
+    // failed group, nor any after it, reached the registry or the report.
+    EXPECT_EQ(report->annotated + report->decayed, acknowledged);
+    const auto modules = registry->AvailableModules();
+    EXPECT_GT(acknowledged, 0u);
+    EXPECT_LT(acknowledged, modules.size());
+    size_t with_examples = 0;
+    for (size_t i = 0; i < modules.size(); ++i) {
+      const std::string& id = modules[i]->spec().id;
+      if (i >= acknowledged) {
+        EXPECT_TRUE(registry->DataExamplesOf(id).empty()) << id;
+      } else if (!registry->DataExamplesOf(id).empty()) {
+        ++with_examples;
+      }
+    }
+    EXPECT_GT(with_examples, 0u);
+  }
+
+  // A resume on a healthy disk converges to the fault-free bytes.
+  const EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  auto engine = config.BuildEngine();
+  ExampleGenerator generator = config.MakeGenerator(
+      env.corpus.ontology.get(), env.pool.get(), engine.get());
+  auto recovery = RecoverJournal(dir, &engine->metrics());
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  auto journal = RunJournal::Resume(dir, *recovery, options, &engine->metrics());
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto resumed_registry = FreshRegistry();
+  auto report = AnnotateRegistry(generator, *resumed_registry,
+                                 *env.corpus.ontology, *journal,
+                                 ResumeFrom(*recovery));
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->complete()) << report->run_status;
+  EXPECT_GT(report->replayed, 0u);
+  EXPECT_EQ(SaveAnnotations(*resumed_registry, *env.corpus.ontology),
+            baseline);
+}
+
+TEST(GroupCommitTest, RecoveredRecordsEqualTheAcknowledgedAtEveryCrashPoint) {
+  // The record sequence of an uninterrupted run: header, then one commit
+  // per module in registration order.
+  const std::string baseline_dir = FreshDir("group-crash-baseline");
+  UninterruptedRunState(1, baseline_dir);
+  auto baseline = RecoverJournal(baseline_dir);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  const size_t modules = FreshRegistry()->AvailableModules().size();
+  ASSERT_EQ(baseline->records.size(), modules + 1);
+
+  for (CrashPoint point : {CrashPoint::kCrashBeforeCommit,
+                           CrashPoint::kCrashAfterCommit,
+                           CrashPoint::kTornWrite}) {
+    for (size_t index : {size_t{0}, size_t{37}, size_t{140}, modules - 1}) {
+      const std::string label =
+          std::string(CrashPointName(point)) + "@" + std::to_string(index);
+      const std::string dir = FreshDir("group-crash");
+      auto registry = FreshRegistry();
+      DurableAnnotateOptions options;
+      options.crash.point = point;
+      options.crash.key = registry->AvailableModules()[index]->spec().id;
+      auto report = DurableAnnotate(*registry, dir, {}, nullptr, options);
+      ASSERT_TRUE(report.ok()) << label << ": " << report.status();
+      EXPECT_TRUE(report->run_status.IsCancelled())
+          << label << ": " << report->run_status;
+      const size_t acknowledged = report->annotated + report->decayed;
+      EXPECT_EQ(acknowledged, point == CrashPoint::kCrashBeforeCommit
+                                  ? index
+                                  : index + 1)
+          << label;
+
+      auto recovery = RecoverJournal(dir);
+      ASSERT_TRUE(recovery.ok()) << label << ": " << recovery.status();
+      std::vector<std::string> expected(
+          baseline->records.begin(),
+          baseline->records.begin() + static_cast<ptrdiff_t>(acknowledged + 1));
+      if (point == CrashPoint::kTornWrite) {
+        // The tear destroys the acknowledged tail (and possibly a neighbor
+        // clipped by the damage radius); what survives is still a prefix.
+        EXPECT_TRUE(recovery->tail_discarded()) << label;
+        ASSERT_LT(recovery->records.size(), expected.size()) << label;
+        expected.resize(recovery->records.size());
+      } else {
+        EXPECT_FALSE(recovery->tail_discarded()) << label;
+      }
+      EXPECT_EQ(recovery->records, expected) << label;
+    }
+  }
+}
 
 TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   const auto& env = GetEnvironment();

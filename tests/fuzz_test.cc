@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "corpus/behaviors.h"
 #include "durability/journal.h"
 #include "durability/trace_io.h"
@@ -308,7 +309,7 @@ std::string SampleTraceExport() {
   obs::ScopedSpan run(&tracer, obs::SpanKind::kRun, "fuzz \"run\"\t\\");
   for (int i = 0; i < 6; ++i) {
     obs::ScopedSpan batch(&tracer, obs::SpanKind::kBatch,
-                          "m" + std::to_string(i), run.id());
+                          StrFormat("m%d", i), run.id());
     if (i % 2 == 0) batch.MarkReplayed();
     batch.Counter("examples", static_cast<uint64_t>(i));
   }

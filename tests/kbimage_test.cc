@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "engine/concept_cache.h"
 #include "kb/knowledge_base.h"
 #include "kbimage/builder.h"
@@ -102,7 +103,7 @@ Ontology RandomOntology(uint64_t seed, int size) {
   names.reserve(static_cast<size_t>(size));
   const int roots = 1 + static_cast<int>(rng.NextBelow(3));
   for (int c = 0; c < size; ++c) {
-    std::string name = "C" + std::to_string(c);
+    std::string name = StrFormat("C%d", c);
     if (c < roots) {
       auto id = ontology.AddRoot(name, rng.NextBool(0.3));
       EXPECT_TRUE(id.ok()) << id.status();

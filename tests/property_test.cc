@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/coverage.h"
 #include "core/engine_config.h"
 #include "core/metrics.h"
@@ -258,7 +259,7 @@ Value RandomValue(Rng& rng, int depth) {
       std::vector<std::pair<std::string, Value>> fields;
       size_t n = rng.NextIndex(3);
       for (size_t i = 0; i < n; ++i) {
-        fields.emplace_back("f" + std::to_string(i), RandomValue(rng, depth - 1));
+        fields.emplace_back(StrFormat("f%zu", i), RandomValue(rng, depth - 1));
       }
       return Value::RecordOf(std::move(fields));
     }

@@ -234,13 +234,10 @@ class Scanner {
 
   void LexPunct(LexedSource& out) {
     int start_line = line_;
-    char c = Peek();
-    std::string text(1, c);
-    if (c == ':' && Peek(1) == ':') {
-      text = "::";
-    } else if (c == '-' && Peek(1) == '>') {
-      text = "->";
-    }
+    const char c = Peek();
+    const bool two_char =
+        (c == ':' && Peek(1) == ':') || (c == '-' && Peek(1) == '>');
+    std::string text(text_.substr(pos_, two_char ? 2 : 1));
     for (size_t i = 0; i < text.size(); ++i) Advance();
     out.tokens.push_back({TokenKind::kPunct, std::move(text), start_line});
   }
