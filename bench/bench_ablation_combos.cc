@@ -22,7 +22,7 @@ void PrintAblation(bench_env::BenchReport& report) {
   for (bool full : {true, false}) {
     GeneratorOptions options;
     options.full_cartesian = full;
-    ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
+    ExampleGenerator generator(env.kb, env.pool.get(),
                                options);
     size_t combinations = 0;
     size_t skipped = 0;
@@ -66,7 +66,7 @@ void PrintAblation(bench_env::BenchReport& report) {
 
 void BM_FullCartesian(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
   ModulePtr module = *env.corpus.registry->FindByName("CompareSequences");
   for (auto _ : state) {
     auto outcome = generator.Generate(*module);
@@ -79,7 +79,7 @@ void BM_PinnedStrategy(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
   GeneratorOptions options;
   options.full_cartesian = false;
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator generator(env.kb, env.pool.get(),
                              options);
   ModulePtr module = *env.corpus.registry->FindByName("CompareSequences");
   for (auto _ : state) {

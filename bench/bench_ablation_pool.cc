@@ -56,8 +56,8 @@ void PrintAblation(bench_env::BenchReport& report) {
     for (char& c : slug) {
       if (c == ' ' || c == '/') c = '_';
     }
-    ExampleGenerator generator(&ontology, &pool);
-    CoverageAnalyzer analyzer(&ontology);
+    ExampleGenerator generator(env.kb, &pool);
+    CoverageAnalyzer analyzer(env.kb);
     size_t fully = 0;
     size_t examples = 0;
     for (const std::string& id : env.corpus.available_ids) {
@@ -123,7 +123,8 @@ void PrintAblation(bench_env::BenchReport& report) {
     for (bool use_realization : {true, false}) {
       GeneratorOptions options;
       options.use_realization = use_realization;
-      ExampleGenerator generator(&micro, &micro_pool, options);
+      ExampleGenerator generator(kbimage::CompiledKb::CompileOrDie(micro),
+                                 &micro_pool, options);
       auto outcome = generator.Generate(*module);
       size_t examples = outcome.ok() ? outcome->examples.size() : 0;
       realization.AddRow(

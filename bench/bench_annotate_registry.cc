@@ -49,7 +49,8 @@ struct AnnotateRun {
 AnnotateRun Annotate(const Ontology& ontology, ModuleRegistry& registry,
                      const AnnotatedInstancePool& pool, size_t threads) {
   InvocationEngine engine(EngineOptions{.threads = threads});
-  ExampleGenerator generator(&ontology, &pool, GeneratorOptions{}, &engine);
+  ExampleGenerator generator(kbimage::CompiledKb::CompileOrDie(ontology), &pool,
+                             GeneratorOptions{}, &engine);
 
   AnnotateRun run;
   auto start = std::chrono::steady_clock::now();

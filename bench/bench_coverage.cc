@@ -15,7 +15,7 @@ namespace {
 
 void PrintCoverage(bench_env::BenchReport& report) {
   const auto& env = bench_env::GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   size_t inputs_fully = 0;
   std::vector<std::string> exceptions;
   for (const std::string& id : env.corpus.available_ids) {
@@ -48,7 +48,7 @@ void PrintCoverage(bench_env::BenchReport& report) {
 
 void BM_AnalyzeCoverage(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   std::vector<ModulePtr> modules = env.corpus.registry->AvailableModules();
   for (auto _ : state) {
     size_t covered = 0;
@@ -67,7 +67,7 @@ BENCHMARK(BM_AnalyzeCoverage);
 
 void BM_PartitionModule(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  DomainPartitioner partitioner(env.corpus.ontology.get());
+  DomainPartitioner partitioner(env.kb);
   ModulePtr module = *env.corpus.registry->FindByName("EBI_ExtractPrimaryId");
   for (auto _ : state) {
     ModulePartitions partitions = partitioner.PartitionModule(module->spec());

@@ -35,7 +35,8 @@ const Environment& GetEnvironment() {
         HarvestPool(out->provenance, *out->corpus.registry,
                     *out->corpus.ontology));
 
-    ExampleGenerator generator(out->corpus.ontology.get(), out->pool.get());
+    out->kb = kbimage::CompiledKb::CompileOrDie(*out->corpus.ontology);
+    ExampleGenerator generator(out->kb, out->pool.get());
     auto annotated = AnnotateRegistry(generator, *out->corpus.registry);
     if (!annotated.ok()) Die("AnnotateRegistry", annotated.status());
     if (!annotated->complete()) {

@@ -11,6 +11,7 @@
 
 #include "core/example_generator.h"
 #include "corpus/corpus.h"
+#include "kbimage/compiled_kb.h"
 #include "provenance/workflow_corpus.h"
 
 namespace dexa {
@@ -21,6 +22,9 @@ struct Environment {
   WorkflowCorpus workflows;
   ProvenanceCorpus provenance;
   std::unique_ptr<AnnotatedInstancePool> pool;
+  /// The corpus ontology compiled in memory: what every component reasons
+  /// over.
+  std::shared_ptr<const kbimage::CompiledKb> kb;
 };
 
 /// Builds the environment on first use; aborts with a diagnostic on any

@@ -58,8 +58,9 @@ OverheadRun RunOnce(bool traced) {
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
 
   InvocationEngine engine(EngineOptions{.threads = kThreads});
-  ExampleGenerator generator(corpus->ontology.get(), &pool, GeneratorOptions{},
-                             &engine);
+  ExampleGenerator generator(
+      kbimage::CompiledKb::CompileOrDie(*corpus->ontology), &pool,
+      GeneratorOptions{}, &engine);
   obs::Tracer tracer(&engine.clock());
 
   OverheadRun run;

@@ -31,7 +31,8 @@ int main() {
   AnnotatedInstancePool pool =
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
 
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
+  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  ExampleGenerator generator(kb, &pool);
   auto annotated = AnnotateRegistry(generator, *corpus->registry);
   if (!annotated.ok()) {
     std::cerr << annotated.status() << "\n";
@@ -43,7 +44,7 @@ int main() {
   }
   std::cout << "Annotated " << annotated->annotated << " modules with data examples\n\n";
 
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(kb);
   size_t inputs_covered = 0;
   size_t outputs_covered = 0;
   std::map<std::string, int> completeness;

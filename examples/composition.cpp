@@ -28,10 +28,11 @@ int main() {
   AnnotatedInstancePool pool =
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
   const Ontology& onto = *corpus->ontology;
+  auto kb = kbimage::CompiledKb::CompileOrDie(onto);
 
   // --- Discovery: "something that turns a Uniprot accession into the
   // protein sequence" with a concrete behavior example.
-  BehaviorDiscovery discovery(&onto, corpus->registry.get());
+  BehaviorDiscovery discovery(kb, corpus->registry.get());
   DiscoveryQuery query;
   query.input_concept = onto.Find("UniprotAccession");
   query.output_concept = onto.Find("ProteinSequence");
@@ -49,7 +50,7 @@ int main() {
   }
 
   // --- Composition: assemble the paper's Figure 1 tail automatically.
-  ExampleGuidedComposer composer(&onto, corpus->registry.get(), &pool);
+  ExampleGuidedComposer composer(kb, corpus->registry.get(), &pool);
   CompositionRequest request;
   request.source_concept = onto.Find("UniprotAccession");
   request.target_concept = onto.Find("AlignmentReport");

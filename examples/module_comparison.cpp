@@ -25,8 +25,9 @@ int main() {
   }
   AnnotatedInstancePool pool =
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
-  ModuleMatcher matcher(corpus->ontology.get(), &generator);
+  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  ExampleGenerator generator(kb, &pool);
+  ModuleMatcher matcher(kb, &generator);
 
   auto compare = [&](const char* left, const char* right) {
     auto a = corpus->registry->FindByName(left);

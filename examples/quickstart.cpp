@@ -46,8 +46,10 @@ int main() {
             << provenance->num_invocations() << " invocations; pool holds "
             << pool.size() << " annotated instances\n\n";
 
-  // 3. Generate data examples for a module (Section 3.2's heuristic).
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
+  // 3. Generate data examples for a module (Section 3.2's heuristic). All
+  //    ontology reasoning reads the ontology compiled into a KB image.
+  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  ExampleGenerator generator(kb, &pool);
   auto module = corpus->registry->FindByName("EBI_GetBiologicalSequence");
   if (!module.ok()) {
     std::cerr << module.status() << "\n";
@@ -68,7 +70,7 @@ int main() {
   }
 
   // 4. Coverage of the module's parameter partitions (Section 4.2).
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(kb);
   CoverageReport report =
       analyzer.Analyze((*module)->spec(), outcome->examples);
   std::printf(

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/instance_classifier.h"
-#include "engine/concept_cache.h"
+#include "kbimage/compiled_kb.h"
 #include "ontology/ontology.h"
 #include "types/structural_type.h"
 #include "types/value.h"
@@ -33,16 +33,12 @@ struct ConceptSuggestion {
 ///    "instance-level matcher".
 ///
 /// Concept names are the suggester's data (lexical matching is its job),
-/// so they are materialized once at construction from the backing KbView;
+/// so they are materialized once at construction from the compiled KB;
 /// Suggest() itself performs no string-keyed ontology lookups.
 class AnnotationSuggester {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit AnnotationSuggester(const Ontology* ontology);
-
-  /// Shares `cache` (and the backing KbView) with the rest of the
-  /// pipeline.
-  explicit AnnotationSuggester(std::shared_ptr<const ConceptCache> cache);
+  /// Reasons over `kb`, shared with the rest of the pipeline.
+  explicit AnnotationSuggester(std::shared_ptr<const kbimage::CompiledKb> kb);
 
   /// Ranked suggestions for a parameter named `parameter_name` with the
   /// given structural type; `sample` (optional, pass Value::Null() for

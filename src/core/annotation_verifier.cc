@@ -74,8 +74,8 @@ std::vector<OutputAnnotationReport> AnnotationVerifier::VerifyOutputs(
     } else {
       // All observed values fit. Confirmed when every realizable partition
       // of the declared concept is witnessed; over-general otherwise.
-      const std::vector<ConceptId>& declared_partitions =
-          cache_->Partitions(param.semantic_type);
+      const std::span<const ConceptId> declared_partitions =
+          kb_->Partitions(param.semantic_type);
       bool all_witnessed = true;
       for (ConceptId partition : declared_partitions) {
         if (std::find(report.observed_partitions.begin(),
@@ -92,8 +92,7 @@ std::vector<OutputAnnotationReport> AnnotationVerifier::VerifyOutputs(
         // Tightest concept covering everything observed.
         ConceptId lcs = report.observed_partitions[0];
         for (size_t i = 1; i < report.observed_partitions.size(); ++i) {
-          lcs = cache_->LeastCommonSubsumer(lcs,
-                                            report.observed_partitions[i]);
+          lcs = kb_->LeastCommonSubsumer(lcs, report.observed_partitions[i]);
         }
         report.suggested = lcs;
       }

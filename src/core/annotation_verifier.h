@@ -49,22 +49,16 @@ struct OutputAnnotationReport {
 /// double as evidence for or against the parameter annotations themselves.
 class AnnotationVerifier {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit AnnotationVerifier(const Ontology* ontology)
-      : AnnotationVerifier(std::make_shared<ConceptCache>(ontology)) {}
-
-  /// Shares `cache` with the rest of the pipeline; all partition/LCS
-  /// reasoning is memoized and backend-agnostic (in-memory or compiled
-  /// image).
-  explicit AnnotationVerifier(std::shared_ptr<const ConceptCache> cache)
-      : cache_(cache), classifier_(std::move(cache)) {}
+  /// Reasons over `kb`, shared with the rest of the pipeline.
+  explicit AnnotationVerifier(std::shared_ptr<const kbimage::CompiledKb> kb)
+      : kb_(kb), classifier_(std::move(kb)) {}
 
   /// One report per output parameter of `spec`.
   std::vector<OutputAnnotationReport> VerifyOutputs(
       const ModuleSpec& spec, const DataExampleSet& examples) const;
 
  private:
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
   InstanceClassifier classifier_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "core/instance_classifier.h"
-
 namespace dexa {
 
 namespace {
@@ -41,7 +39,7 @@ Result<std::vector<CompositionCandidate>> ExampleGuidedComposer::Compose(
     for (size_t i = 1; i < spec.inputs.size(); ++i) {
       const Parameter& param = spec.inputs[i];
       Result<Value> seed = Status::NotFound("unset");
-      for (ConceptId partition : cache_->Partitions(param.semantic_type)) {
+      for (ConceptId partition : kb_->Partitions(param.semantic_type)) {
         seed = pool_->GetInstanceCompatible(partition, param.structural_type);
         if (seed.ok()) break;
       }
@@ -62,15 +60,12 @@ Result<std::vector<CompositionCandidate>> ExampleGuidedComposer::Compose(
     return a.module->spec().name < b.module->spec().name;
   });
 
-  InstanceClassifier classifier(cache_);
-
   // Replays `chain` on a pool realization of the source; returns the
   // validated candidate or an error if any step rejects the value.
   auto validate = [&](const std::vector<std::string>& chain)
       -> Result<CompositionCandidate> {
     Result<Value> source = Status::NotFound("unset");
-    for (ConceptId partition :
-         cache_->Partitions(request.source_concept)) {
+    for (ConceptId partition : kb_->Partitions(request.source_concept)) {
       source = pool_->GetInstanceCompatible(partition, request.source_type);
       if (source.ok()) break;
     }
@@ -96,7 +91,8 @@ Result<std::vector<CompositionCandidate>> ExampleGuidedComposer::Compose(
       current = (*outputs)[0];
     }
     // The final value must actually instantiate the target concept.
-    ConceptId produced = classifier.Classify(current, request.target_concept);
+    ConceptId produced =
+        classifier_.Classify(current, request.target_concept);
     if (produced == kInvalidConcept) {
       return Status::InvalidArgument(
           "chain output does not instantiate the target concept");
@@ -125,7 +121,7 @@ Result<std::vector<CompositionCandidate>> ExampleGuidedComposer::Compose(
       const ModuleSpec& spec = step.module->spec();
       const Parameter& head = spec.inputs[0];
       if (!node.type.IsCompatibleWith(head.structural_type)) continue;
-      if (!cache_->IsSubsumedBy(node.concept_id, head.semantic_type)) {
+      if (!kb_->IsSubsumedBy(node.concept_id, head.semantic_type)) {
         continue;
       }
       // No module twice in a chain (prevents trivial cycles).
@@ -139,7 +135,7 @@ Result<std::vector<CompositionCandidate>> ExampleGuidedComposer::Compose(
 
       bool reaches_target =
           next.type.IsCompatibleWith(request.target_type) &&
-          cache_->Comparable(next.concept_id, request.target_concept);
+          kb_->Comparable(next.concept_id, request.target_concept);
       if (reaches_target) {
         auto candidate = validate(next.module_ids);
         if (candidate.ok()) {

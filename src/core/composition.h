@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/concept_cache.h"
+#include "core/instance_classifier.h"
 #include "engine/invocation_engine.h"
 #include "modules/registry.h"
 #include "ontology/ontology.h"
@@ -53,22 +53,14 @@ struct CompositionCandidate {
 /// thus what separates composable from merely type-compatible.
 class ExampleGuidedComposer {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
+  /// Reasons over `kb`, shared with the rest of the pipeline.
   /// Chain-validation replays are routed through `engine` (serial default).
-  ExampleGuidedComposer(const Ontology* ontology,
+  ExampleGuidedComposer(std::shared_ptr<const kbimage::CompiledKb> kb,
                         const ModuleRegistry* registry,
                         const AnnotatedInstancePool* pool,
                         InvocationEngine* engine = nullptr)
-      : ExampleGuidedComposer(std::make_shared<ConceptCache>(ontology),
-                              registry, pool, engine) {}
-
-  /// Shares `cache` (and its memoized reasoning answers) with the rest of
-  /// the pipeline.
-  ExampleGuidedComposer(std::shared_ptr<const ConceptCache> cache,
-                        const ModuleRegistry* registry,
-                        const AnnotatedInstancePool* pool,
-                        InvocationEngine* engine = nullptr)
-      : cache_(std::move(cache)),
+      : kb_(kb),
+        classifier_(std::move(kb)),
         registry_(registry),
         pool_(pool),
         engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
@@ -79,7 +71,8 @@ class ExampleGuidedComposer {
       const CompositionRequest& request) const;
 
  private:
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
+  InstanceClassifier classifier_;
   const ModuleRegistry* registry_;
   const AnnotatedInstancePool* pool_;
   InvocationEngine* engine_;

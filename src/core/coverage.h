@@ -55,15 +55,9 @@ struct CoverageReport {
 /// input-derived examples).
 class CoverageAnalyzer {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit CoverageAnalyzer(const Ontology* ontology)
-      : CoverageAnalyzer(std::make_shared<ConceptCache>(ontology)) {}
-
-  /// Shares `cache` (and its memoized answers) with the rest of the
-  /// pipeline; this is how image-backed runs route coverage reasoning
-  /// through the compiled KbView.
-  explicit CoverageAnalyzer(std::shared_ptr<const ConceptCache> cache)
-      : partitioner_(cache), classifier_(std::move(cache)) {}
+  /// Reasons over `kb`, shared with the rest of the pipeline.
+  explicit CoverageAnalyzer(std::shared_ptr<const kbimage::CompiledKb> kb)
+      : partitioner_(kb), classifier_(std::move(kb)) {}
 
   CoverageReport Analyze(const ModuleSpec& spec,
                          const DataExampleSet& examples) const;

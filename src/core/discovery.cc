@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "core/instance_classifier.h"
-
 namespace dexa {
 
 std::vector<DiscoveryHit> BehaviorDiscovery::Search(
     const DiscoveryQuery& query, size_t top_k) const {
   std::vector<DiscoveryHit> hits;
-  InstanceClassifier classifier(cache_);
 
   for (const ModulePtr& module : registry_->AvailableModules()) {
     const ModuleSpec& spec = module->spec();
@@ -25,8 +22,8 @@ std::vector<DiscoveryHit> BehaviorDiscovery::Search(
     bool exact = in.semantic_type == query.input_concept &&
                  out.semantic_type == query.output_concept;
     bool contextual =
-        cache_->IsSubsumedBy(query.input_concept, in.semantic_type) &&
-        cache_->Comparable(out.semantic_type, query.output_concept);
+        kb_->IsSubsumedBy(query.input_concept, in.semantic_type) &&
+        kb_->Comparable(out.semantic_type, query.output_concept);
     if (exact) {
       hit.score = 1.0;
       hit.why = "exact signature";
@@ -56,7 +53,7 @@ std::vector<DiscoveryHit> BehaviorDiscovery::Search(
         if (equal) {
           hit.score += 1.0;
           hit.why += "; reproduces the example";
-        } else if (classifier.Classify((*outputs)[0], query.output_concept) !=
+        } else if (classifier_.Classify((*outputs)[0], query.output_concept) !=
                    kInvalidConcept) {
           hit.score += 0.3;
           hit.why += "; answers in the requested concept";

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/concept_cache.h"
+#include "core/instance_classifier.h"
 #include "engine/invocation_engine.h"
 #include "modules/data_example.h"
 #include "modules/registry.h"
@@ -48,19 +48,13 @@ struct DiscoveryHit {
 /// Hits are returned best-first (ties by module name).
 class BehaviorDiscovery {
  public:
-  /// Convenience: builds a private concept cache over `ontology`. Example
+  /// Reasons over `kb`, shared with the rest of the pipeline. Example
   /// probes are routed through `engine` (serial default).
-  BehaviorDiscovery(const Ontology* ontology, const ModuleRegistry* registry,
-                    InvocationEngine* engine = nullptr)
-      : BehaviorDiscovery(std::make_shared<ConceptCache>(ontology), registry,
-                          engine) {}
-
-  /// Shares `cache` (and its memoized subsumption answers) with the rest
-  /// of the pipeline.
-  BehaviorDiscovery(std::shared_ptr<const ConceptCache> cache,
+  BehaviorDiscovery(std::shared_ptr<const kbimage::CompiledKb> kb,
                     const ModuleRegistry* registry,
                     InvocationEngine* engine = nullptr)
-      : cache_(std::move(cache)),
+      : kb_(kb),
+        classifier_(std::move(kb)),
         registry_(registry),
         engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
 
@@ -68,7 +62,8 @@ class BehaviorDiscovery {
                                    size_t top_k = 10) const;
 
  private:
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
+  InstanceClassifier classifier_;
   const ModuleRegistry* registry_;
   InvocationEngine* engine_;
 };

@@ -143,18 +143,14 @@ class EngineConfig {
   }
 
   /// Builds an ExampleGenerator with the accumulated generator options,
-  /// running on `engine` (nullptr = the shared serial engine).
+  /// reasoning over `ontology` compiled in memory, running on `engine`
+  /// (nullptr = the shared serial engine). Call sites that already hold a
+  /// compiled KB construct the generator directly with generator_options().
   ExampleGenerator MakeGenerator(const Ontology* ontology,
                                  const AnnotatedInstancePool* pool,
                                  InvocationEngine* engine = nullptr) const {
-    return ExampleGenerator(ontology, pool, generator_, engine);
-  }
-
-  /// Cache-sharing overload (matcher/suggester pipelines).
-  ExampleGenerator MakeGenerator(std::shared_ptr<const ConceptCache> cache,
-                                 const AnnotatedInstancePool* pool,
-                                 InvocationEngine* engine = nullptr) const {
-    return ExampleGenerator(std::move(cache), pool, generator_, engine);
+    return ExampleGenerator(kbimage::CompiledKb::CompileOrDie(*ontology), pool,
+                            generator_, engine);
   }
 
  private:

@@ -55,7 +55,7 @@ size_t SaturatingMul(size_t a, size_t b) {
 Result<GenerationOutcome> ExampleGenerator::Generate(
     const Module& module) const {
   const ModuleSpec& spec = module.spec();
-  const ConceptCache& cache = partitioner_.cache();
+  const kbimage::CompiledKb& kb = *partitioner_.kb();
   GenerationOutcome outcome;
 
   // Step 1 + 2: partition every input domain and select one instance per
@@ -73,7 +73,7 @@ Result<GenerationOutcome> ExampleGenerator::Generate(
       } else {
         // Ablation: accept an instance of the partition or of any of its
         // sub-concepts (ignoring realization semantics).
-        for (ConceptId d : cache.Descendants(partition)) {
+        for (ConceptId d : kb.Descendants(partition)) {
           instance = pool_->GetInstanceCompatible(d, param.structural_type);
           if (instance.ok()) break;
         }

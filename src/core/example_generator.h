@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -89,24 +90,14 @@ struct GenerationOutcome {
 /// enumeration order so any thread count yields an identical example set.
 class ExampleGenerator {
  public:
-  /// Builds a generator with a private concept cache. `engine` defaults to
-  /// the shared serial engine, so existing call sites keep their exact
-  /// behavior; pass a pooled engine to parallelize invocation.
-  ExampleGenerator(const Ontology* ontology, const AnnotatedInstancePool* pool,
-                   GeneratorOptions options = {},
-                   InvocationEngine* engine = nullptr)
-      : partitioner_(ontology),
-        pool_(pool),
-        options_(options),
-        engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
-
-  /// Shares a concept cache with other pipeline components (matcher,
-  /// suggester) so subsumption answers are computed once per process.
-  ExampleGenerator(std::shared_ptr<const ConceptCache> cache,
+  /// Reasons over `kb`, shared with the other pipeline components.
+  /// `engine` defaults to the shared serial engine; pass a pooled engine to
+  /// parallelize invocation.
+  ExampleGenerator(std::shared_ptr<const kbimage::CompiledKb> kb,
                    const AnnotatedInstancePool* pool,
                    GeneratorOptions options = {},
                    InvocationEngine* engine = nullptr)
-      : partitioner_(std::move(cache)),
+      : partitioner_(std::move(kb)),
         pool_(pool),
         options_(options),
         engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}

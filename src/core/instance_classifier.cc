@@ -18,22 +18,18 @@ bool IsTermInstance(const std::string& s, const char* prefix) {
 
 }  // namespace
 
-InstanceClassifier::InstanceClassifier(const Ontology* ontology)
-    : InstanceClassifier(std::make_shared<ConceptCache>(ontology)) {}
-
 InstanceClassifier::InstanceClassifier(
-    std::shared_ptr<const ConceptCache> cache)
-    : cache_(std::move(cache)) {
+    std::shared_ptr<const kbimage::CompiledKb> kb)
+    : kb_(std::move(kb)) {
   CompileRecognizers();
 }
 
 void InstanceClassifier::CompileRecognizers() {
-  const KbView& view = cache_->view();
-  recognizers_.resize(view.ConceptCount());
+  recognizers_.resize(kb_->ConceptCount());
   for (size_t c = 0; c < recognizers_.size(); ++c) {
     // The one sanctioned name resolution: each concept's name is looked
     // at exactly once, here, to compile its recognizer.
-    const std::string name(view.ConceptName(static_cast<ConceptId>(c)));
+    const std::string name(kb_->ConceptName(static_cast<ConceptId>(c)));
     Recognizer& r = recognizers_[c];
 
     // Identifier namespaces.
@@ -220,7 +216,7 @@ ConceptId InstanceClassifier::Classify(const Value& value,
   // Try the partitions of the declared concept, most derived first: the
   // partition list is in pre-order, so reverse iteration visits leaves
   // before their ancestors.
-  const std::vector<ConceptId>& partitions = cache_->Partitions(declared);
+  const std::span<const ConceptId> partitions = kb_->Partitions(declared);
   ConceptId fallback = kInvalidConcept;
   for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
     ConceptId candidate = *it;

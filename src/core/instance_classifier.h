@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "engine/concept_cache.h"
+#include "kbimage/compiled_kb.h"
 #include "ontology/ontology.h"
 #include "types/value.h"
 
@@ -24,18 +24,15 @@ namespace dexa {
 ///
 /// Concept names are resolved exactly once, at construction: the
 /// classifier compiles a ConceptId-indexed recognizer table from the
-/// cache's KbView, so the per-value hot path (Matches/Classify) is pure
-/// ConceptId arithmetic with no string-keyed ontology lookups.
+/// compiled KB's concept names, so the per-value hot path
+/// (Matches/Classify) is pure ConceptId arithmetic with no string-keyed
+/// ontology lookups.
 class InstanceClassifier {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit InstanceClassifier(const Ontology* ontology);
+  /// Reasons over `kb`, shared with the rest of the pipeline.
+  explicit InstanceClassifier(std::shared_ptr<const kbimage::CompiledKb> kb);
 
-  /// Shares `cache` (reasoning answers and the backing KbView) with the
-  /// rest of the pipeline.
-  explicit InstanceClassifier(std::shared_ptr<const ConceptCache> cache);
-
-  /// The most specific partition of `declared` (per KbView::Partitions)
+  /// The most specific partition of `declared` (per CompiledKb::Partitions)
   /// that `value` instantiates; `declared` itself when the value matches no
   /// finer recognizer but `declared` is realizable; kInvalidConcept when
   /// nothing fits (e.g. declared is covered and no sub-concept matches).
@@ -80,7 +77,7 @@ class InstanceClassifier {
 
   void CompileRecognizers();
 
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
   std::vector<Recognizer> recognizers_;  ///< Indexed by ConceptId.
 };
 

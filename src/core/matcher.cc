@@ -53,7 +53,7 @@ Result<ParameterMapping> ModuleMatcher::MapParameters(
         if (inputs) {
           // Candidate input may be more general: it then accepts every
           // value the reference input accepted (Figure 7).
-          if (cache_->IsSubsumedBy(param.semantic_type,
+          if (kb_->IsSubsumedBy(param.semantic_type,
                                    to[j].semantic_type)) {
             chosen = static_cast<int>(j);
             chosen_contextual = true;
@@ -61,7 +61,7 @@ Result<ParameterMapping> ModuleMatcher::MapParameters(
         } else {
           // Output concepts need only be comparable; behavior equality is
           // established on the values themselves.
-          if (cache_->Comparable(param.semantic_type,
+          if (kb_->Comparable(param.semantic_type,
                                  to[j].semantic_type)) {
             chosen = static_cast<int>(j);
             chosen_contextual = true;

@@ -6,7 +6,7 @@
 
 #include "common/result.h"
 #include "core/example_generator.h"
-#include "engine/concept_cache.h"
+#include "kbimage/compiled_kb.h"
 #include "engine/invocation_engine.h"
 #include "modules/data_example.h"
 #include "modules/module.h"
@@ -59,25 +59,18 @@ struct MatchResult {
 /// against the candidate — and classifies the outcome as equivalent,
 /// overlapping or disjoint.
 ///
-/// Subsumption queries go through a ConceptCache (matching sweeps ask the
-/// same concept pairs for every candidate), and candidate replays are
-/// batched through an InvocationEngine with results folded in reference
-/// order, so relation verdicts are thread-count-invariant.
+/// Subsumption queries are bitset reads of the compiled KB image, and
+/// candidate replays are batched through an InvocationEngine with results
+/// folded in reference order, so relation verdicts are
+/// thread-count-invariant.
 class ModuleMatcher {
  public:
-  /// Builds a matcher with a private concept cache; `engine` defaults to
+  /// Reasons over `kb` (typically the generator's); `engine` defaults to
   /// the shared serial engine.
-  ModuleMatcher(const Ontology* ontology, const ExampleGenerator* generator,
-                InvocationEngine* engine = nullptr)
-      : cache_(std::make_shared<ConceptCache>(ontology)),
-        generator_(generator),
-        engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
-
-  /// Shares a concept cache (typically the generator's).
-  ModuleMatcher(std::shared_ptr<const ConceptCache> cache,
+  ModuleMatcher(std::shared_ptr<const kbimage::CompiledKb> kb,
                 const ExampleGenerator* generator,
                 InvocationEngine* engine = nullptr)
-      : cache_(std::move(cache)),
+      : kb_(std::move(kb)),
         generator_(generator),
         engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
 
@@ -106,7 +99,7 @@ class ModuleMatcher {
                               bool allow_contextual = true) const;
 
  private:
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
   const ExampleGenerator* generator_;
   InvocationEngine* engine_;
 };

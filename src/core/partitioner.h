@@ -2,9 +2,10 @@
 #define DEXA_CORE_PARTITIONER_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "engine/concept_cache.h"
+#include "kbimage/compiled_kb.h"
 #include "modules/module.h"
 #include "ontology/ontology.h"
 
@@ -30,20 +31,15 @@ struct ModulePartitions {
   size_t OutputCount() const;
 };
 
-/// Ontology-based domain partitioner (Section 3.1). All reasoning goes
-/// through a ConceptCache, so repeated partitioning of the same concepts
-/// (every module of a corpus shares a handful of annotation concepts) costs
-/// one ontology traversal total. Kept as a class so ablations can
+/// Ontology-based domain partitioner (Section 3.1). Every partition set is
+/// a precomputed row of the compiled KB image, so partitioning the same
+/// concepts again (every module of a corpus shares a handful of annotation
+/// concepts) costs one span read each. Kept as a class so ablations can
 /// subclass/parameterize the strategy.
 class DomainPartitioner {
  public:
-  /// Convenience: builds a private cache over `ontology`.
-  explicit DomainPartitioner(const Ontology* ontology)
-      : cache_(std::make_shared<ConceptCache>(ontology)) {}
-
-  /// Shares `cache` (and thus its memoized answers) with other components.
-  explicit DomainPartitioner(std::shared_ptr<const ConceptCache> cache)
-      : cache_(std::move(cache)) {}
+  explicit DomainPartitioner(std::shared_ptr<const kbimage::CompiledKb> kb)
+      : kb_(std::move(kb)) {}
 
   /// Partitions of a single parameter: the realizable concepts subsumed by
   /// `param.semantic_type` (covered concepts are represented by their
@@ -53,11 +49,11 @@ class DomainPartitioner {
   /// Partitions of every parameter of `spec`.
   ModulePartitions PartitionModule(const ModuleSpec& spec) const;
 
-  const ConceptCache& cache() const { return *cache_; }
-  std::shared_ptr<const ConceptCache> shared_cache() const { return cache_; }
+  /// The compiled KB every reasoning query reads.
+  const std::shared_ptr<const kbimage::CompiledKb>& kb() const { return kb_; }
 
  private:
-  std::shared_ptr<const ConceptCache> cache_;
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
 };
 
 }  // namespace dexa

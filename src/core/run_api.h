@@ -67,8 +67,8 @@ struct RunRequest {
   const JournalRecovery* resume = nullptr;
   /// In-process crash injection; null means no crash plan.
   const CrashPlan* crash = nullptr;
-  /// Compiled-KB seal pinned into durable annotate run headers (0 = the
-  /// in-memory backend).
+  /// Seal of the KB image file pinned into durable annotate run headers
+  /// (0 = no image file; reasoning used an image compiled in memory).
   uint64_t kb_checksum = 0;
 
   // -- Observability (all kinds) -----------------------------------------

@@ -26,11 +26,12 @@ namespace dexa {
 struct AnnotateRunHeader {
   uint64_t modules = 0;      ///< AvailableModules() count at run start.
   uint64_t fingerprint = 0;  ///< AnnotateConfigFingerprint of the run.
-  /// Seal of the compiled KB image the run reasons over, or 0 for the
-  /// in-memory backend. A resume whose image checksum differs refuses to
-  /// replay: the journal's commits were derived from a different KB.
-  /// Encoded only when nonzero, so in-memory journals are byte-identical
-  /// to the pre-image format (old journals decode with checksum 0).
+  /// Seal of the KB image file the run reasons over, or 0 when no image
+  /// file was given (an image compiled in memory is never pinned). A
+  /// resume whose checksum differs refuses to replay: the journal's
+  /// commits were derived from a different KB. Encoded only when nonzero,
+  /// so journals of runs without an image file are byte-identical to the
+  /// pre-image format (old journals decode with checksum 0).
   uint64_t kb_checksum = 0;
 };
 

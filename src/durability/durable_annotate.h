@@ -34,11 +34,11 @@ struct DurableAnnotateOptions {
   /// the journal tail. Inert when the plan is unarmed.
   CrashPlan crash;
 
-  /// Seal of the compiled KB image this run reasons over (CompiledKb
-  /// checksum), or 0 for the in-memory backend. Recorded in the run header
-  /// and enforced on resume: a journal pinned to a different KB image (or
-  /// to the in-memory backend) is refused instead of silently replaying
-  /// commits derived from different knowledge.
+  /// Seal of the KB image file this run reasons over (CompiledKb
+  /// checksum), or 0 = no image file; reasoning used an image compiled in
+  /// memory. Recorded in the run header and enforced on resume: a journal
+  /// pinned to a different image file (or to none) is refused instead of
+  /// silently replaying commits derived from different knowledge.
   uint64_t kb_checksum = 0;
 
   /// Optional run observability. The durable run records the same

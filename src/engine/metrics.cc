@@ -29,11 +29,8 @@ uint64_t EngineMetricsSnapshot::TotalPhaseNanos() const {
 std::string EngineMetricsSnapshot::ToString() const {
   std::ostringstream out;
   out << "invocations=" << invocations << " errors=" << invocation_errors
-      << " batches=" << batches << " cache_hits=" << cache_hits
-      << " cache_misses=" << cache_misses;
-  if (cache_queries != 0) out << " cache_queries=" << cache_queries;
+      << " batches=" << batches;
   if (kb_image_loads != 0) out << " kb_image_loads=" << kb_image_loads;
-  if (bitset_queries != 0) out << " bitset_queries=" << bitset_queries;
   if (retries != 0) out << " retries=" << retries;
   if (deadline_exhaustions != 0) {
     out << " deadline_exhaustions=" << deadline_exhaustions;
@@ -69,11 +66,7 @@ EngineMetricsSnapshot EngineMetrics::Snapshot() const {
   snapshot.invocation_errors =
       invocation_errors_.load(std::memory_order_relaxed);
   snapshot.batches = batches_.load(std::memory_order_relaxed);
-  snapshot.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  snapshot.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  snapshot.cache_queries = cache_queries_.load(std::memory_order_relaxed);
   snapshot.kb_image_loads = kb_image_loads_.load(std::memory_order_relaxed);
-  snapshot.bitset_queries = bitset_queries_.load(std::memory_order_relaxed);
   snapshot.retries = retries_.load(std::memory_order_relaxed);
   snapshot.deadline_exhaustions =
       deadline_exhaustions_.load(std::memory_order_relaxed);
@@ -101,11 +94,7 @@ void EngineMetrics::Reset() {
   invocations_.store(0, std::memory_order_relaxed);
   invocation_errors_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  cache_queries_.store(0, std::memory_order_relaxed);
   kb_image_loads_.store(0, std::memory_order_relaxed);
-  bitset_queries_.store(0, std::memory_order_relaxed);
   retries_.store(0, std::memory_order_relaxed);
   deadline_exhaustions_.store(0, std::memory_order_relaxed);
   breaker_trips_.store(0, std::memory_order_relaxed);

@@ -29,11 +29,15 @@ struct EngineMetricsSnapshot {
   uint64_t invocations = 0;        ///< Module invocations routed through.
   uint64_t invocation_errors = 0;  ///< Invocations that returned non-OK.
   uint64_t batches = 0;            ///< InvokeBatch / ForEach dispatches.
-  uint64_t cache_hits = 0;         ///< ConceptCache hits.
-  uint64_t cache_misses = 0;       ///< ConceptCache misses (computed fresh).
-  uint64_t cache_queries = 0;      ///< ConceptCache lookups (hits + misses).
-  uint64_t kb_image_loads = 0;     ///< Compiled KB images mapped + verified.
-  uint64_t bitset_queries = 0;     ///< Cache misses answered by image bitsets.
+  /// Always 0, and nothing sets them: they counted a reasoning memo that
+  /// is gone (every reasoning query is now a read of the compiled KB
+  /// image). They stay only because the benchmark package
+  /// (perfbench/src/annotate_workloads.cc) reads them, where they already
+  /// read 0 in every workload; the next change to the benchmark removes
+  /// them.
+  uint64_t cache_hits = 0;
+  uint64_t cache_queries = 0;
+  uint64_t kb_image_loads = 0;     ///< KB image files mapped + verified.
   uint64_t retries = 0;            ///< Retry attempts after transient faults.
   uint64_t deadline_exhaustions = 0;  ///< Invocations cut off by a budget.
   uint64_t breaker_trips = 0;      ///< Circuit breakers tripped open.
@@ -102,20 +106,8 @@ class EngineMetrics {
   void RecordModuleReinvoked() {
     modules_reinvoked_.fetch_add(1, std::memory_order_relaxed);
   }
-  void RecordCacheHit() {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCacheQuery() {
-    cache_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
   void RecordKbImageLoad() {
     kb_image_loads_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordBitsetQuery() {
-    bitset_queries_.fetch_add(1, std::memory_order_relaxed);
   }
   void AddPhaseNanos(EnginePhase phase, uint64_t nanos) {
     phase_nanos_[static_cast<size_t>(phase)].fetch_add(
@@ -131,11 +123,7 @@ class EngineMetrics {
   std::atomic<uint64_t> invocations_{0};
   std::atomic<uint64_t> invocation_errors_{0};
   std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> cache_queries_{0};
   std::atomic<uint64_t> kb_image_loads_{0};
-  std::atomic<uint64_t> bitset_queries_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> deadline_exhaustions_{0};
   std::atomic<uint64_t> breaker_trips_{0};

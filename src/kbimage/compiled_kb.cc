@@ -1,11 +1,14 @@
 #include "kbimage/compiled_kb.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/crc32.h"
 #include "common/io_env.h"
 #include "common/rng.h"
+#include "kbimage/builder.h"
 #include "kbimage/entity_codec.h"
 #include "kbimage/format.h"
 #include "kbimage/seal.h"
@@ -19,6 +22,16 @@ namespace {
 /// under the fatal UBSan alignment check.
 bool Aligned(const char* p) {
   return reinterpret_cast<uintptr_t>(p) % kSectionAlign == 0;
+}
+
+/// Row `c` of a CSR id list. Parse bounded every id below the concept
+/// count, so the unsigned storage reads back as non-negative ConceptIds
+/// (int32_t may alias its unsigned counterpart).
+std::span<const ConceptId> IdRow(const uint32_t* offsets, const uint32_t* ids,
+                                 ConceptId c) {
+  const size_t i = static_cast<size_t>(c);
+  return {reinterpret_cast<const ConceptId*>(ids + offsets[i]),
+          offsets[i + 1] - offsets[i]};
 }
 
 }  // namespace
@@ -39,12 +52,36 @@ Result<std::unique_ptr<CompiledKb>> CompiledKb::Load(const std::string& path,
     return Status::Corrupted("KB image '" + path +
                              "' is shorter than its header");
   }
+  return Adopt(std::move(*region));
+}
 
+Result<std::unique_ptr<CompiledKb>> CompiledKb::Compile(
+    const Ontology& ontology) {
+  auto image = CompileKbImage(ontology, KnowledgeBase(KnowledgeBaseData{}));
+  if (!image.ok()) return image.status();
+  // operator new[] aligns to at least 16 bytes, which covers kSectionAlign.
+  char* bytes = new char[image->size()];
+  std::memcpy(bytes, image->data(), image->size());
+  return Adopt(MmapRegion(bytes, image->size(), /*unmap=*/false));
+}
+
+Result<std::unique_ptr<CompiledKb>> CompiledKb::Adopt(MmapRegion image) {
   std::unique_ptr<CompiledKb> kb(new CompiledKb());
-  kb->map_ = std::move(*region);
+  kb->map_ = std::move(image);
   Status parsed = kb->Parse();
   if (!parsed.ok()) return parsed;
   return kb;
+}
+
+std::shared_ptr<const CompiledKb> CompiledKb::CompileOrDie(
+    const Ontology& ontology) {
+  auto kb = Compile(ontology);
+  if (!kb.ok()) {
+    std::fprintf(stderr, "dexa: cannot compile ontology '%s': %s\n",
+                 ontology.name().c_str(), kb.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(kb).value();
 }
 
 const char* CompiledKb::Section(uint32_t id, size_t* size) const {
@@ -281,26 +318,24 @@ bool CompiledKb::Covered(ConceptId c) const {
 }
 
 bool CompiledKb::IsSubsumedBy(ConceptId a, ConceptId b) const {
+  if (!Has(a) || !Has(b)) return a == b;
   const size_t row = static_cast<size_t>(a) * words_per_row_;
   const size_t bit = static_cast<size_t>(b);
   return (subsumption_[row + bit / 64] >> (bit % 64)) & 1;
 }
 
-std::vector<ConceptId> CompiledKb::Descendants(ConceptId c) const {
-  const size_t i = static_cast<size_t>(c);
-  const uint32_t* begin = descendant_ids_ + descendant_offsets_[i];
-  const uint32_t* end = descendant_ids_ + descendant_offsets_[i + 1];
-  return std::vector<ConceptId>(begin, end);
+std::span<const ConceptId> CompiledKb::Descendants(ConceptId c) const {
+  if (!Has(c)) return {};
+  return IdRow(descendant_offsets_, descendant_ids_, c);
 }
 
-std::vector<ConceptId> CompiledKb::Partitions(ConceptId c) const {
-  const size_t i = static_cast<size_t>(c);
-  const uint32_t* begin = partition_ids_ + partition_offsets_[i];
-  const uint32_t* end = partition_ids_ + partition_offsets_[i + 1];
-  return std::vector<ConceptId>(begin, end);
+std::span<const ConceptId> CompiledKb::Partitions(ConceptId c) const {
+  if (!Has(c)) return {};
+  return IdRow(partition_offsets_, partition_ids_, c);
 }
 
 ConceptId CompiledKb::LeastCommonSubsumer(ConceptId a, ConceptId b) const {
+  if (!Has(a) || !Has(b)) return kInvalidConcept;
   return static_cast<ConceptId>(
       lcs_[static_cast<size_t>(a) * concept_count_ + static_cast<size_t>(b)]);
 }

@@ -49,8 +49,8 @@ enum SectionId : uint32_t {
   /// already dense — the image preserves them verbatim.
   kConcepts = 3,
   /// concept_count rows × words_per_row u64 words. Row `a`, bit `b` is
-  /// set iff a ⊑ b (IsSubsumedBy(a, b)). Subsumption checks on the
-  /// mmap backend are a single word load + mask.
+  /// set iff a ⊑ b (IsSubsumedBy(a, b)). A subsumption check is a single
+  /// word load + mask.
   kSubsumption = 4,
   /// u32 offsets[count+1]; flat u32 concept ids. Row `c` is the
   /// precomputed Ontology::Descendants(c), byte-for-byte in its

@@ -49,22 +49,11 @@ void MetricsRegistry::ImportEngineSnapshot(
   for (const auto& [name, value] : StableCounters(snapshot)) {
     SetCounter("engine." + name, value, MetricStability::kStable);
   }
-  // The hit/miss split between concurrently computed keys is
-  // schedule-dependent (both racers count a miss), and phase timings are
-  // wall-clock — volatile, reporting-only.
-  SetCounter("engine.cache_hits", snapshot.cache_hits,
-             MetricStability::kVolatile);
-  SetCounter("engine.cache_misses", snapshot.cache_misses,
-             MetricStability::kVolatile);
-  SetCounter("engine.cache_queries", snapshot.cache_queries,
-             MetricStability::kVolatile);
-  // Backend-shape counters: which store answered the reasoning (and how
-  // often an image was mapped) varies with deployment, not with the
-  // annotation semantics — volatile, so golden traces stay byte-identical
-  // across the memory and image backends.
+  // How often a KB image file was mapped varies with deployment, not with
+  // the annotation semantics, and phase timings are wall-clock — volatile,
+  // reporting-only, so golden traces stay byte-identical with and without
+  // an image file.
   SetCounter("engine.kb_image_loads", snapshot.kb_image_loads,
-             MetricStability::kVolatile);
-  SetCounter("engine.bitset_queries", snapshot.bitset_queries,
              MetricStability::kVolatile);
   for (size_t i = 0; i < kNumEnginePhases; ++i) {
     SetCounter(std::string("engine.phase_ns.") +
@@ -74,9 +63,6 @@ void MetricsRegistry::ImportEngineSnapshot(
   SetGauge("engine.invocation_error_rate_ppm",
            RatioPpm(snapshot.invocation_errors, snapshot.invocations),
            MetricStability::kStable);
-  SetGauge("engine.cache_hit_rate_ppm",
-           RatioPpm(snapshot.cache_hits, snapshot.cache_queries),
-           MetricStability::kVolatile);
 }
 
 void MetricsRegistry::ImportTrace(const Tracer& tracer) {

@@ -57,9 +57,8 @@ class MetricsRegistry {
   void Observe(const std::string& name, uint64_t value);
 
   /// Imports every engine counter: the schedule-independent subset as
-  /// stable counters, cache hits/misses/queries and wall-clock phase
-  /// timings as volatile, plus derived gauges (error rate stable,
-  /// cache hit rate volatile).
+  /// stable counters, KB image loads and wall-clock phase timings as
+  /// volatile, plus the derived (stable) invocation error rate gauge.
   void ImportEngineSnapshot(const EngineMetricsSnapshot& snapshot);
 
   /// Imports span statistics from a recorded trace: span/replayed-span

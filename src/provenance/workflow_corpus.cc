@@ -464,7 +464,7 @@ AnnotatedInstancePool HarvestPool(const ProvenanceCorpus& provenance,
                                   const ModuleRegistry& registry,
                                   const Ontology& ontology) {
   AnnotatedInstancePool pool(&ontology);
-  InstanceClassifier classifier(&ontology);
+  InstanceClassifier classifier(kbimage::CompiledKb::CompileOrDie(ontology));
 
   auto add_value = [&](const Parameter& param, const Value& value) {
     if (value.is_null()) return;

@@ -85,12 +85,13 @@ Result<MatchingReport> MatchRetiredModules(const Corpus& corpus,
   // The matcher needs an ExampleGenerator only for its Compare() entry
   // point, which we do not use here (retired modules cannot be invoked);
   // pass a minimal generator over an empty pool. Generator and matcher
-  // share one concept cache: the 72 retired × 252 candidate sweep re-asks
-  // the same subsumption pairs constantly.
+  // share one compiled KB: the 72 retired × 252 candidate sweep asks its
+  // subsumption bitsets constantly.
   AnnotatedInstancePool empty_pool(corpus.ontology.get());
-  auto cache = std::make_shared<ConceptCache>(corpus.ontology.get());
-  ExampleGenerator generator(cache, &empty_pool);
-  ModuleMatcher matcher(cache, &generator);
+  DEXA_ASSIGN_OR_RETURN(std::shared_ptr<const kbimage::CompiledKb> kb,
+                        kbimage::CompiledKb::Compile(*corpus.ontology));
+  ExampleGenerator generator(kb, &empty_pool);
+  ModuleMatcher matcher(kb, &generator);
 
   std::vector<ModulePtr> candidates = corpus.registry->AvailableModules();
 

@@ -55,35 +55,31 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
       EngineConfig().Threads(env->options_.threads).Seed(env->options_.seed);
   env->engine_ = env->config_.BuildEngine();
 
-  // Same recipe as the CLI's BuildEnv: image-backed when a compiled KB is
-  // given, in-memory otherwise — either way all hot-path reasoning keys on
-  // ConceptId, so the two backends produce byte-identical runs.
+  // Same recipe as the CLI's BuildEnv: reason over the loaded image when a
+  // KB image file is given, over the corpus ontology compiled in memory
+  // otherwise. Only a file image pins its seal into durable runs.
   CorpusOptions corpus_options;
   if (!env->options_.kb_image_path.empty()) {
     auto image = kbimage::CompiledKb::Load(env->options_.kb_image_path);
     if (!image.ok()) return image.status();
-    env->kb_image_ =
-        std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
-    env->kb_checksum_ = env->kb_image_->checksum();
+    env->kb_ = std::move(image).value();
+    env->kb_checksum_ = env->kb_->checksum();
     env->engine_->metrics().RecordKbImageLoad();
-    auto ontology = env->kb_image_->MaterializeOntology();
+    auto ontology = env->kb_->MaterializeOntology();
     if (!ontology.ok()) return ontology.status();
     corpus_options.prebuilt_ontology =
         std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env->kb_image_->MaterializeKnowledgeBase();
+    auto kb = env->kb_->MaterializeKnowledgeBase();
     if (!kb.ok()) return kb.status();
     corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env->kb_image_->kb_seed();
+    corpus_options.seed = env->kb_->kb_seed();
   }
   auto corpus = BuildCorpus(corpus_options);
   if (!corpus.ok()) return corpus.status();
   env->corpus_ = std::move(corpus).value();
-  if (env->kb_image_ != nullptr) {
-    env->cache_ = std::make_shared<ConceptCache>(env->kb_image_,
-                                                 &env->engine_->metrics());
-  } else {
-    env->cache_ = std::make_shared<ConceptCache>(env->corpus_.ontology.get(),
-                                                 &env->engine_->metrics());
+  if (env->kb_ == nullptr) {
+    DEXA_ASSIGN_OR_RETURN(env->kb_,
+                          kbimage::CompiledKb::Compile(*env->corpus_.ontology));
   }
   auto workflows = GenerateWorkflowCorpus(env->corpus_);
   if (!workflows.ok()) return workflows.status();
@@ -147,7 +143,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::FullRegistry() const {
 
 std::unique_ptr<ExampleGenerator> ServeEnv::MakeGenerator() const {
   return std::make_unique<ExampleGenerator>(
-      cache_, pool_.get(), config_.generator_options(), engine_.get());
+      kb_, pool_.get(), config_.generator_options(), engine_.get());
 }
 
 Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,

@@ -136,8 +136,11 @@ class ServeEnv {
   WorkflowCorpus workflows_;
   ProvenanceCorpus provenance_;
   std::unique_ptr<AnnotatedInstancePool> pool_;
-  std::shared_ptr<const kbimage::CompiledKb> kb_image_;
-  std::shared_ptr<const ConceptCache> cache_;
+  /// The KB every run reasons over: the loaded image file, or the corpus
+  /// ontology compiled in memory.
+  std::shared_ptr<const kbimage::CompiledKb> kb_;
+  /// Seal of the image file, or 0 when none was given; pinned into
+  /// durable runs.
   uint64_t kb_checksum_ = 0;
   EngineConfig config_;
   std::unique_ptr<InvocationEngine> engine_;

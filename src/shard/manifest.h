@@ -44,6 +44,8 @@ struct ShardManifest {
   uint64_t modules_total = 0;
   /// AnnotateConfigFingerprint of the full registry + generator options.
   uint64_t fingerprint = 0;
+  /// Seal of the KB image file the shards reason over (0 = no image file;
+  /// reasoning used an image compiled in memory).
   uint64_t kb_checksum = 0;
   /// Salt of the stable-hash partition function.
   uint64_t partition_salt = 0;

@@ -55,7 +55,7 @@ struct ShardOptions {
   /// shard, and the `merged` canonical journal.
   std::string root;
   uint64_t partition_salt = 0x5A17;
-  /// Pinned into every run header (0 = in-memory KB backend).
+  /// Pinned into every run header (0 = no KB image file).
   uint64_t kb_checksum = 0;
   /// Journal framing every shard and the merge share.
   JournalOptions journal;

@@ -32,7 +32,7 @@ TEST(CalibrationTest, Table3KindCensus) {
 
 TEST(CalibrationTest, AllInputPartitionsCovered) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);
     CoverageReport report = analyzer.Analyze(
@@ -45,7 +45,7 @@ TEST(CalibrationTest, AllInputPartitionsCovered) {
 
 TEST(CalibrationTest, Exactly19OutputCoverageExceptions) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   std::vector<std::string> exceptions;
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);

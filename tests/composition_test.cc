@@ -16,7 +16,7 @@ class CompositionTest : public ::testing::Test {
  protected:
   CompositionTest()
       : env_(GetEnvironment()),
-        composer_(env_.corpus.ontology.get(), env_.corpus.registry.get(),
+        composer_(env_.kb, env_.corpus.registry.get(),
                   env_.pool.get()) {}
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
@@ -107,7 +107,7 @@ class DiscoveryTest : public ::testing::Test {
  protected:
   DiscoveryTest()
       : env_(GetEnvironment()),
-        discovery_(env_.corpus.ontology.get(), env_.corpus.registry.get()) {}
+        discovery_(env_.kb, env_.corpus.registry.get()) {}
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
 
@@ -133,6 +133,14 @@ TEST_F(DiscoveryTest, RanksExactSignaturesFirst) {
     }
   }
   EXPECT_TRUE(saw_contextual);
+}
+
+TEST_F(DiscoveryTest, UnsetQueryConceptsMatchNothing) {
+  // Every module parameter of the corpus is annotated, so a query that
+  // names no concepts has no exact or contextual signature to match (it
+  // used to read outside the concept tables instead).
+  DiscoveryQuery query;
+  EXPECT_TRUE(discovery_.Search(query, 5).empty());
 }
 
 TEST_F(DiscoveryTest, ExampleBonusSeparatesBehaviors) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
 #include "common/io_env.h"
+#include "durability/commit_codec.h"
 #include "durability/durable_annotate.h"
 #include "durability/durable_enact.h"
 #include "durability/journal.h"
@@ -843,6 +845,124 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
 }
+
+// ---------------------------------------------------------------------------
+// The KB pin: a durable annotate run header records the seal of the KB image
+// file the run reasoned over, or nothing when no image file was given.
+// ---------------------------------------------------------------------------
+
+/// Stands in for the seal of a KB image file (any nonzero value pins).
+constexpr uint64_t kImageSeal = 0xB5297A4D;
+
+/// Size and CRC-32 of the journal a pinless Threads(1) Seed(0xD0D0) run
+/// writes over the test environment, recorded when reasoning still ran over
+/// the raw Ontology: reasoning over an image compiled in memory must not
+/// move a byte, or journals written before it would stop resuming.
+constexpr size_t kPinlessJournalBytes = 261908;
+constexpr uint32_t kPinlessJournalCrc = 3652813182u;
+
+/// A durable annotate run into `dir` pinned to `kb_checksum`; `resume`
+/// continues a crashed journal, `crash_index` (when set) stops the run
+/// after that module commits.
+Result<AnnotateReport> PinnedRun(const std::string& dir, uint64_t kb_checksum,
+                                 ModuleRegistry& registry,
+                                 InvocationEngine& engine,
+                                 const JournalRecovery* resume,
+                                 std::optional<size_t> crash_index) {
+  const auto& env = GetEnvironment();
+  EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  ExampleGenerator generator =
+      config.MakeGenerator(env.corpus.ontology.get(), env.pool.get(), &engine);
+  auto journal = resume != nullptr
+                     ? RunJournal::Resume(dir, *resume, {}, &engine.metrics())
+                     : RunJournal::Create(dir, {}, &engine.metrics());
+  if (!journal.ok()) return journal.status();
+  DurableAnnotateOptions options;
+  options.kb_checksum = kb_checksum;
+  options.resume = resume;
+  if (crash_index.has_value()) {
+    options.crash.point = CrashPoint::kCrashAfterCommit;
+    options.crash.key = registry.AvailableModules()[*crash_index]->spec().id;
+  }
+  return AnnotateRegistryDurable(generator, registry, *env.corpus.ontology,
+                                 *journal, options);
+}
+
+TEST(KbPinTest, RunWithoutAnImageFileWritesNoPinAndTheSameJournalBytes) {
+  const std::string dir = FreshDir("pin-none");
+  auto engine = EngineConfig().Threads(1).Seed(0xD0D0).BuildEngine();
+  auto registry = FreshRegistry();
+  auto report = PinnedRun(dir, /*kb_checksum=*/0, *registry, *engine,
+                          nullptr, std::nullopt);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->complete()) << report->run_status;
+
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_FALSE(recovery->records.empty());
+  EXPECT_EQ(recovery->records[0].find("kb_checksum"), std::string::npos)
+      << recovery->records[0];
+  auto header = DecodeAnnotateRunHeader(recovery->records[0]);
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(header->kb_checksum, 0u);
+
+  std::string bytes;
+  for (const std::string& segment : SegmentBytes(dir)) bytes += segment;
+  EXPECT_EQ(bytes.size(), kPinlessJournalBytes);
+  EXPECT_EQ(Crc32(bytes), kPinlessJournalCrc);
+}
+
+struct PinCase {
+  uint64_t started;
+  uint64_t resumed;
+};
+
+class KbPinMismatchTest : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(KbPinMismatchTest, ResumeUnderAnotherPinIsRefusedAndReplaysNothing) {
+  const PinCase pins = GetParam();
+  const std::string dir = FreshDir("pin-mismatch");
+  {
+    auto engine = EngineConfig().Threads(1).Seed(0xD0D0).BuildEngine();
+    auto registry = FreshRegistry();
+    auto crashed = PinnedRun(dir, pins.started, *registry, *engine, nullptr,
+                             /*crash_index=*/3);
+    ASSERT_TRUE(crashed.ok()) << crashed.status();
+    ASSERT_TRUE(crashed->run_status.IsCancelled()) << crashed->run_status;
+  }
+
+  auto engine = EngineConfig().Threads(1).Seed(0xD0D0).BuildEngine();
+  auto registry = FreshRegistry();
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 5u);  // Header + four commits.
+  auto resumed = PinnedRun(dir, pins.resumed, *registry, *engine, &*recovery,
+                           std::nullopt);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsInvalidArgument()) << resumed.status();
+  EXPECT_NE(resumed.status().message().find("kb_checksum"), std::string::npos)
+      << resumed.status();
+
+  // Nothing was replayed, invoked or appended.
+  const EngineMetricsSnapshot metrics = engine->metrics().Snapshot();
+  EXPECT_EQ(metrics.modules_replayed, 0u);
+  EXPECT_EQ(metrics.invocations, 0u);
+  for (const ModulePtr& module : registry->AvailableModules()) {
+    EXPECT_FALSE(registry->HasDataExamples(module->spec().id))
+        << module->spec().id;
+  }
+  auto after = RecoverJournal(dir);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_TRUE(after->records == recovery->records);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, KbPinMismatchTest,
+    ::testing::Values(PinCase{0, kImageSeal}, PinCase{kImageSeal, 0}),
+    [](const ::testing::TestParamInfo<PinCase>& info) {
+      return std::string(info.param.started == 0 ? "NoneThenSeal"
+                                                 : "SealThenNone");
+    });
 
 /// Picks a still-enactable corpus workflow with at least three processors
 /// for the enactment drills; its generated seeds are the inputs.

@@ -1,8 +1,10 @@
 // Tests for the invocation-engine layer: pool scheduling, the determinism
 // contract (any thread count yields an identical example set), and the
-// concept cache's agreement with the uncached ontology.
+// compiled KB's agreement with the Ontology's own reasoning under
+// concurrent readers.
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,7 +12,6 @@
 
 #include "common/rng.h"
 #include "core/example_generator.h"
-#include "engine/concept_cache.h"
 #include "engine/invocation_engine.h"
 #include "engine/metrics.h"
 #include "tests/test_util.h"
@@ -90,9 +91,9 @@ TEST(InvocationEngineTest, GenerationIsDeterministicAcrossThreadCounts) {
   const auto& env = testing_env::GetEnvironment();
   InvocationEngine serial(EngineOptions{.threads = 1});
   InvocationEngine pooled(EngineOptions{.threads = 8});
-  ExampleGenerator serial_generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator serial_generator(env.kb, env.pool.get(),
                                     GeneratorOptions{}, &serial);
-  ExampleGenerator pooled_generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator pooled_generator(env.kb, env.pool.get(),
                                     GeneratorOptions{}, &pooled);
 
   size_t modules_checked = 0;
@@ -123,7 +124,7 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
   const auto& env = testing_env::GetEnvironment();
   GeneratorOptions capped;
   capped.max_combinations = 1;
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator generator(env.kb, env.pool.get(),
                              capped);
 
   // CompareSequences is multi-input, so its cartesian product exceeds a cap
@@ -136,7 +137,7 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
   EXPECT_GT(outcome->stats.combinations_skipped, 0u);
 
   // With the default cap nothing in the corpus is truncated.
-  ExampleGenerator uncapped(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator uncapped(env.kb, env.pool.get());
   auto full = uncapped.Generate(*module);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->stats.combinations_skipped, 0u);
@@ -145,51 +146,47 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
                 outcome->stats.combinations_skipped);
 }
 
-TEST(ConceptCacheTest, AgreesWithOntologyOnRandomSample) {
+/// The span's ids as a vector, for comparison with the Ontology's answers.
+std::vector<ConceptId> Ids(std::span<const ConceptId> ids) {
+  return {ids.begin(), ids.end()};
+}
+
+TEST(CompiledKbTest, AgreesWithOntologyOnRandomSample) {
   const auto& env = testing_env::GetEnvironment();
   const Ontology& ontology = *env.corpus.ontology;
-  ConceptCache cache(&ontology);
+  const kbimage::CompiledKb& kb = *env.kb;
   std::vector<ConceptId> concepts = ontology.AllConcepts();
   ASSERT_FALSE(concepts.empty());
 
   Rng rng(2026);
-  // Two passes over the same sample: the first populates the cache, the
-  // second must be served from it and still agree.
-  for (int pass = 0; pass < 2; ++pass) {
-    Rng pass_rng = rng.Fork(7);
-    for (int i = 0; i < 500; ++i) {
-      ConceptId a = concepts[pass_rng.NextIndex(concepts.size())];
-      ConceptId b = concepts[pass_rng.NextIndex(concepts.size())];
-      EXPECT_EQ(cache.IsSubsumedBy(a, b), ontology.IsSubsumedBy(a, b));
-      EXPECT_EQ(cache.Comparable(a, b), ontology.Comparable(a, b));
-      EXPECT_EQ(cache.LeastCommonSubsumer(a, b),
-                ontology.LeastCommonSubsumer(a, b));
-      EXPECT_EQ(cache.Descendants(a), ontology.Descendants(a));
-      EXPECT_EQ(cache.Partitions(a), ontology.Partitions(a));
-    }
+  for (int i = 0; i < 500; ++i) {
+    ConceptId a = concepts[rng.NextIndex(concepts.size())];
+    ConceptId b = concepts[rng.NextIndex(concepts.size())];
+    EXPECT_EQ(kb.IsSubsumedBy(a, b), ontology.IsSubsumedBy(a, b));
+    EXPECT_EQ(kb.Comparable(a, b), ontology.Comparable(a, b));
+    EXPECT_EQ(kb.LeastCommonSubsumer(a, b),
+              ontology.LeastCommonSubsumer(a, b));
+    EXPECT_EQ(Ids(kb.Descendants(a)), ontology.Descendants(a));
+    EXPECT_EQ(Ids(kb.Partitions(a)), ontology.Partitions(a));
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
 }
 
-TEST(ConceptCacheTest, LcsKeyIsSymmetric) {
+TEST(CompiledKbTest, LcsIsSymmetric) {
   const auto& env = testing_env::GetEnvironment();
-  const Ontology& ontology = *env.corpus.ontology;
-  ConceptCache cache(&ontology);
-  std::vector<ConceptId> concepts = ontology.AllConcepts();
+  const kbimage::CompiledKb& kb = *env.kb;
+  std::vector<ConceptId> concepts = env.corpus.ontology->AllConcepts();
   Rng rng(11);
   for (int i = 0; i < 100; ++i) {
     ConceptId a = concepts[rng.NextIndex(concepts.size())];
     ConceptId b = concepts[rng.NextIndex(concepts.size())];
-    EXPECT_EQ(cache.LeastCommonSubsumer(a, b),
-              cache.LeastCommonSubsumer(b, a));
+    EXPECT_EQ(kb.LeastCommonSubsumer(a, b), kb.LeastCommonSubsumer(b, a));
   }
 }
 
-TEST(ConceptCacheTest, ConcurrentLookupsAgree) {
+TEST(CompiledKbTest, ConcurrentLookupsAgree) {
   const auto& env = testing_env::GetEnvironment();
   const Ontology& ontology = *env.corpus.ontology;
-  ConceptCache cache(&ontology);
+  const kbimage::CompiledKb& kb = *env.kb;
   std::vector<ConceptId> concepts = ontology.AllConcepts();
 
   InvocationEngine engine(EngineOptions{.threads = 8});
@@ -199,8 +196,8 @@ TEST(ConceptCacheTest, ConcurrentLookupsAgree) {
     for (int k = 0; k < 50; ++k) {
       ConceptId a = concepts[rng.NextIndex(concepts.size())];
       ConceptId b = concepts[rng.NextIndex(concepts.size())];
-      if (cache.IsSubsumedBy(a, b) != ontology.IsSubsumedBy(a, b) ||
-          cache.Descendants(a) != ontology.Descendants(a)) {
+      if (kb.IsSubsumedBy(a, b) != ontology.IsSubsumedBy(a, b) ||
+          Ids(kb.Descendants(a)) != ontology.Descendants(a)) {
         mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -213,16 +210,14 @@ TEST(EngineMetricsTest, SnapshotAggregatesCounters) {
   metrics.RecordInvocation(true);
   metrics.RecordInvocation(false);
   metrics.RecordBatch();
-  metrics.RecordCacheHit();
-  metrics.RecordCacheMiss();
+  metrics.RecordRetry();
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 1000);
 
   EngineMetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.invocations, 2u);
   EXPECT_EQ(snapshot.invocation_errors, 1u);
   EXPECT_EQ(snapshot.batches, 1u);
-  EXPECT_EQ(snapshot.cache_hits, 1u);
-  EXPECT_EQ(snapshot.cache_misses, 1u);
+  EXPECT_EQ(snapshot.retries, 1u);
   EXPECT_EQ(snapshot.TotalPhaseNanos(), 1000u);
 
   metrics.Reset();

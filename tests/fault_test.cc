@@ -379,7 +379,7 @@ TEST(FaultToleranceTest, AnnotateRegistryReportsPartialResults) {
   const std::string down_id = env.corpus.available_ids.front();
   auto wrapped = WrapWithOneModuleDown(*env.corpus.registry, down_id);
 
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
   auto report = AnnotateRegistry(generator, *wrapped);
   ASSERT_TRUE(report.ok()) << report.status();
 

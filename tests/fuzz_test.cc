@@ -361,7 +361,8 @@ TEST_P(ParserFuzzTest, MetricsExportReaderNeverCrashes) {
   Rng rng(GetParam());
   obs::MetricsRegistry registry;
   registry.SetCounter("engine.commits", 42);
-  registry.SetCounter("engine.cache_hits", 7, obs::MetricStability::kVolatile);
+  registry.SetCounter("engine.kb_image_loads", 7,
+                      obs::MetricStability::kVolatile);
   registry.SetGauge("engine.invocation_error_rate_ppm", 1234);
   registry.DefineHistogram("trace.examples_per_module", {0, 1, 2, 4});
   registry.Observe("trace.examples_per_module", 3);

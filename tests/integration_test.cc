@@ -54,7 +54,8 @@ TEST(IntegrationTest, GenerationIsDeterministicAcrossRebuilds) {
   ASSERT_TRUE(provenance.ok());
   AnnotatedInstancePool pool =
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
+  ExampleGenerator generator(
+      kbimage::CompiledKb::CompileOrDie(*corpus->ontology), &pool);
 
   for (const char* name : {"EBI_GetUniprotRecord", "NormalizeAccession",
                            "CompareSequences", "GetConcept"}) {
@@ -140,7 +141,7 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
 
 TEST(IntegrationTest, CoverageSummaryOverWholeCorpus) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   size_t fully_covered_outputs = 0;
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);

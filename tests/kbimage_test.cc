@@ -1,16 +1,17 @@
-// Backend-equivalence and damage-ladder suite for the compiled KB image
-// (src/kbimage/). The contract under test: a compiled, memory-mapped image
-// answers every reasoning query (subsumption, descendants, partitions,
-// LCS, depth, names, covered flags) identically to the in-memory Ontology
-// it was compiled from — over the real myGrid ontology AND randomized
-// ontologies — and any damaged image fails Load with a typed kCorrupted,
-// never undefined behavior.
+// Equivalence and damage-ladder suite for the compiled KB image
+// (src/kbimage/). The contract under test: a compiled image — loaded from a
+// file or compiled in memory — answers every reasoning query (subsumption,
+// comparability, descendants, partitions, LCS, depth, names, covered
+// flags) identically to the Ontology it was compiled from — over the real
+// myGrid ontology AND randomized ontologies — and any damaged image fails
+// Load with a typed kCorrupted, never undefined behavior.
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,12 +19,10 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "engine/concept_cache.h"
 #include "kb/knowledge_base.h"
 #include "kbimage/builder.h"
 #include "kbimage/compiled_kb.h"
 #include "kbimage/format.h"
-#include "kbimage/kb_view.h"
 #include "ontology/mygrid.h"
 #include "ontology/ontology.h"
 
@@ -65,27 +64,35 @@ std::string CompileToFileAndRead(const Ontology& ontology,
   return bytes;
 }
 
-/// Asserts every KbView query agrees between `image` and the in-memory
-/// view of `ontology`, across all concepts and all concept pairs.
+/// The span's ids as a vector, for comparison with the Ontology's answers.
+std::vector<ConceptId> Ids(std::span<const ConceptId> ids) {
+  return {ids.begin(), ids.end()};
+}
+
+/// Asserts every CompiledKb query agrees with the Ontology's own reasoning
+/// over `ontology`, across all concepts and all concept pairs.
 void ExpectBackendEquivalence(const kbimage::CompiledKb& image,
                               const Ontology& ontology) {
-  OntologyKbView memory(&ontology);
-  ASSERT_EQ(image.ConceptCount(), memory.ConceptCount());
+  ASSERT_EQ(image.ConceptCount(), ontology.size());
   const ConceptId n = static_cast<ConceptId>(ontology.size());
   for (ConceptId c = 0; c < n; ++c) {
-    EXPECT_EQ(image.ConceptName(c), memory.ConceptName(c)) << "id " << c;
-    EXPECT_EQ(image.FindConcept(memory.ConceptName(c)), c);
-    EXPECT_EQ(image.Covered(c), memory.Covered(c)) << "id " << c;
-    EXPECT_EQ(image.Depth(c), memory.Depth(c)) << "id " << c;
-    EXPECT_EQ(image.Descendants(c), memory.Descendants(c)) << "id " << c;
-    EXPECT_EQ(image.Partitions(c), memory.Partitions(c)) << "id " << c;
+    EXPECT_EQ(image.ConceptName(c), ontology.NameOf(c)) << "id " << c;
+    EXPECT_EQ(image.FindConcept(ontology.NameOf(c)), c);
+    EXPECT_EQ(image.Covered(c), ontology.Get(c).covered) << "id " << c;
+    EXPECT_EQ(image.Depth(c), ontology.Depth(c)) << "id " << c;
+    EXPECT_EQ(Ids(image.Descendants(c)), ontology.Descendants(c))
+        << "id " << c;
+    EXPECT_EQ(Ids(image.Partitions(c)), ontology.Partitions(c))
+        << "id " << c;
   }
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId b = 0; b < n; ++b) {
-      EXPECT_EQ(image.IsSubsumedBy(a, b), memory.IsSubsumedBy(a, b))
+      EXPECT_EQ(image.IsSubsumedBy(a, b), ontology.IsSubsumedBy(a, b))
+          << "a=" << a << " b=" << b;
+      EXPECT_EQ(image.Comparable(a, b), ontology.Comparable(a, b))
           << "a=" << a << " b=" << b;
       EXPECT_EQ(image.LeastCommonSubsumer(a, b),
-                memory.LeastCommonSubsumer(a, b))
+                ontology.LeastCommonSubsumer(a, b))
           << "a=" << a << " b=" << b;
     }
   }
@@ -135,7 +142,6 @@ TEST(KbImageTest, MyGridBackendEquivalence) {
 
   auto image = kbimage::CompiledKb::Load(path.string());
   ASSERT_TRUE(image.ok()) << image.status();
-  EXPECT_EQ((*image)->backend(), KbBackend::kImage);
   EXPECT_NE((*image)->checksum(), 0u);
   EXPECT_EQ((*image)->kb_seed(), 7u);
   EXPECT_EQ((*image)->ontology_name(), ontology.name());
@@ -159,30 +165,59 @@ TEST(KbImageTest, RandomizedBackendEquivalence) {
   }
 }
 
-TEST(KbImageTest, ConceptCacheAgreesAcrossBackends) {
+TEST(KbImageTest, CompiledInMemoryEqualsLoadedFromFileEqualsOntology) {
   Ontology ontology = BuildMyGridOntology();
   KnowledgeBase kb(7, SmallKbOptions());
-  const fs::path path = TempPath("cache.img");
+  const fs::path path = TempPath("compile.img");
   CompileToFileAndRead(ontology, kb, path);
-  auto image = kbimage::CompiledKb::Load(path.string());
-  ASSERT_TRUE(image.ok()) << image.status();
+  auto loaded = kbimage::CompiledKb::Load(path.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto compiled = kbimage::CompiledKb::Compile(ontology);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
 
-  std::shared_ptr<const kbimage::CompiledKb> shared(std::move(*image));
-  ConceptCache image_cache(shared);
-  ConceptCache memory_cache(&ontology);
+  ExpectBackendEquivalence(**compiled, ontology);
+  const kbimage::CompiledKb& file = **loaded;
+  const kbimage::CompiledKb& memory = **compiled;
+  ASSERT_EQ(memory.ConceptCount(), file.ConceptCount());
+  EXPECT_EQ(memory.ontology_name(), file.ontology_name());
   const ConceptId n = static_cast<ConceptId>(ontology.size());
   for (ConceptId a = 0; a < n; ++a) {
-    EXPECT_EQ(image_cache.Partitions(a), memory_cache.Partitions(a));
-    EXPECT_EQ(image_cache.Descendants(a), memory_cache.Descendants(a));
+    EXPECT_EQ(memory.ConceptName(a), file.ConceptName(a));
+    EXPECT_EQ(memory.Covered(a), file.Covered(a));
+    EXPECT_EQ(memory.Depth(a), file.Depth(a));
+    EXPECT_EQ(Ids(memory.Partitions(a)), Ids(file.Partitions(a)));
+    EXPECT_EQ(Ids(memory.Descendants(a)), Ids(file.Descendants(a)));
     for (ConceptId b = 0; b < n; ++b) {
-      EXPECT_EQ(image_cache.IsSubsumedBy(a, b),
-                memory_cache.IsSubsumedBy(a, b));
-      EXPECT_EQ(image_cache.Comparable(a, b), memory_cache.Comparable(a, b));
-      EXPECT_EQ(image_cache.LeastCommonSubsumer(a, b),
-                memory_cache.LeastCommonSubsumer(a, b));
+      EXPECT_EQ(memory.IsSubsumedBy(a, b), file.IsSubsumedBy(a, b));
+      EXPECT_EQ(memory.Comparable(a, b), file.Comparable(a, b));
+      EXPECT_EQ(memory.LeastCommonSubsumer(a, b),
+                file.LeastCommonSubsumer(a, b));
     }
   }
   fs::remove(path);
+}
+
+TEST(KbImageTest, IdsOutsideTheImageAreEmptyConcepts) {
+  auto compiled = kbimage::CompiledKb::Compile(BuildMyGridOntology());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const kbimage::CompiledKb& kb = **compiled;
+  const ConceptId past_end = static_cast<ConceptId>(kb.ConceptCount());
+  for (ConceptId outside : {kInvalidConcept, past_end}) {
+    EXPECT_TRUE(kb.IsSubsumedBy(outside, outside));
+    EXPECT_FALSE(kb.IsSubsumedBy(outside, 0));
+    EXPECT_FALSE(kb.IsSubsumedBy(0, outside));
+    EXPECT_FALSE(kb.Comparable(0, outside));
+    EXPECT_TRUE(kb.Descendants(outside).empty());
+    EXPECT_TRUE(kb.Partitions(outside).empty());
+    EXPECT_EQ(kb.LeastCommonSubsumer(outside, 0), kInvalidConcept);
+    EXPECT_EQ(kb.LeastCommonSubsumer(0, outside), kInvalidConcept);
+  }
+}
+
+TEST(KbImageTest, CompileRefusesAnEmptyOntology) {
+  auto compiled = kbimage::CompiledKb::Compile(Ontology("empty"));
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_TRUE(compiled.status().IsInvalidArgument()) << compiled.status();
 }
 
 TEST(KbImageTest, CompilationIsDeterministic) {

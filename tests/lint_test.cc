@@ -526,24 +526,24 @@ TEST(UncachedReasoningRuleTest, FiresOnDirectPrimitivesInEngineAndCore) {
         "void G(const Ontology* ontology, ConceptId c) {\n"
         "  auto down = ontology->Descendants(c);\n"
         "  auto parts = ontology->Partitions(c);\n"
+        "}\n"},
+       // No file of the two layers is exempt, whatever its name.
+       {"src/engine/concept_cache.cc",
+        "bool H(const Ontology& view_ontology, ConceptId a, ConceptId b) {\n"
+        "  return view_ontology.IsSubsumedBy(a, b);\n"
         "}\n"}});
-  ASSERT_EQ(report.findings.size(), 3u) << Describe(report);
+  ASSERT_EQ(report.findings.size(), 4u) << Describe(report);
   for (const Finding& f : report.findings) {
     EXPECT_EQ(f.rule, "uncached-reasoning");
   }
 }
 
-TEST(UncachedReasoningRuleTest, CacheItselfOtherLayersAndCacheCallsSilent) {
+TEST(UncachedReasoningRuleTest, OtherLayersAndCompiledKbCallsSilent) {
   LintReport report = Lint(
-      {// The cache is the sanctioned caller of the backing view.
-       {"src/engine/concept_cache.cc",
-        "bool ConceptCache::IsSubsumedBy(ConceptId a, ConceptId b) const {\n"
-        "  return view_ontology_.IsSubsumedBy(a, b);\n"
-        "}\n"},
-       // Calls through the cache are the point of the rule.
+      {// Calls through the compiled KB are the point of the rule.
        {"src/core/c.cc",
-        "bool H(const ConceptCache& cache, ConceptId a, ConceptId b) {\n"
-        "  return cache.IsSubsumedBy(a, b) && cache.Comparable(a, b);\n"
+        "bool H(const kbimage::CompiledKb& kb, ConceptId a, ConceptId b) {\n"
+        "  return kb.IsSubsumedBy(a, b) && kb.Comparable(a, b);\n"
         "}\n"},
        // The ontology layer implements the primitives.
        {"src/ontology/ontology.cc",
@@ -1022,13 +1022,13 @@ TEST(CacheTest, WarmRunMatchesColdRunAndEditsInvalidate) {
   const std::string cache = (root / "cache").string();
   LintStats cold_stats;
   LintReport cold = LintPaths(root.string(), {rel}, cache, &cold_stats);
-  EXPECT_EQ(cold_stats.cache_misses, 1u);
-  EXPECT_EQ(cold_stats.cache_hits, 0u);
+  EXPECT_EQ(cold_stats.files_analyzed, 1u);
+  EXPECT_EQ(cold_stats.files_cached, 0u);
 
   LintStats warm_stats;
   LintReport warm = LintPaths(root.string(), {rel}, cache, &warm_stats);
-  EXPECT_EQ(warm_stats.cache_hits, 1u);
-  EXPECT_EQ(warm_stats.cache_misses, 0u);
+  EXPECT_EQ(warm_stats.files_cached, 1u);
+  EXPECT_EQ(warm_stats.files_analyzed, 0u);
   EXPECT_EQ(ReportToJson(cold), ReportToJson(warm));
   ASSERT_EQ(warm.findings.size(), 1u) << Describe(warm);
   EXPECT_EQ(warm.findings[0].rule, "entropy");
@@ -1037,7 +1037,7 @@ TEST(CacheTest, WarmRunMatchesColdRunAndEditsInvalidate) {
   write("void F() { int x = rand(); Use(x); }\n");
   LintStats edited_stats;
   LintReport edited = LintPaths(root.string(), {rel}, cache, &edited_stats);
-  EXPECT_EQ(edited_stats.cache_misses, 1u);
+  EXPECT_EQ(edited_stats.files_analyzed, 1u);
   ASSERT_EQ(edited.findings.size(), 1u) << Describe(edited);
   fs::remove_all(root);
 }

@@ -161,10 +161,9 @@ TEST(StableCounterTest, DeltasOmitZeroesAndScheduleDependentCounters) {
   EngineMetricsSnapshot before = metrics.Snapshot();
   metrics.RecordInvocation(false);
   metrics.RecordRetry();
-  // Schedule-dependent: the hit/miss split of concurrent lookups and the
+  // Deployment- and schedule-dependent: KB image file loads and the
   // wall-clock phase timings must never reach a trace.
-  metrics.RecordCacheQuery();
-  metrics.RecordCacheMiss();
+  metrics.RecordKbImageLoad();
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 1'000'000);
   EngineMetricsSnapshot after = metrics.Snapshot();
 
@@ -208,8 +207,7 @@ TEST(MetricsRegistryTest, RatioPpmIsFixedPoint) {
 TEST(MetricsRegistryTest, EngineImportSplitsStableFromVolatile) {
   EngineMetrics metrics;
   metrics.RecordInvocation(true);
-  metrics.RecordCacheQuery();
-  metrics.RecordCacheHit();
+  metrics.RecordKbImageLoad();
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 42);
 
   obs::MetricsRegistry registry;
@@ -218,16 +216,15 @@ TEST(MetricsRegistryTest, EngineImportSplitsStableFromVolatile) {
   using obs::MetricStability;
   EXPECT_EQ(registry.counters().at("engine.invocations").second,
             MetricStability::kStable);
-  EXPECT_EQ(registry.counters().at("engine.cache_hits").second,
+  EXPECT_EQ(registry.counters().at("engine.kb_image_loads").second,
             MetricStability::kVolatile);
+  EXPECT_EQ(registry.counters().at("engine.kb_image_loads").first, 1u);
   EXPECT_EQ(registry.counters().at("engine.phase_ns.generate").second,
-            MetricStability::kVolatile);
-  EXPECT_EQ(registry.gauges().at("engine.cache_hit_rate_ppm").second,
             MetricStability::kVolatile);
   EXPECT_EQ(registry.gauges().at("engine.invocation_error_rate_ppm").second,
             MetricStability::kStable);
-  EXPECT_EQ(registry.gauges().at("engine.cache_hit_rate_ppm").first,
-            1'000'000u);
+  EXPECT_EQ(registry.gauges().at("engine.invocation_error_rate_ppm").first,
+            0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +272,8 @@ TEST(ExportTest, ChromeTraceRoundTripsThroughTheReader) {
 TEST(ExportTest, MetricsJsonRoundTripsThroughTheReader) {
   obs::MetricsRegistry registry;
   registry.SetCounter("engine.commits", 12);
-  registry.SetCounter("engine.cache_hits", 99, obs::MetricStability::kVolatile);
+  registry.SetCounter("engine.kb_image_loads", 99,
+                      obs::MetricStability::kVolatile);
   registry.SetGauge("rate_ppm", 250'000);
   registry.DefineHistogram("sizes", {1, 8});
   registry.Observe("sizes", 0);
@@ -287,7 +285,7 @@ TEST(ExportTest, MetricsJsonRoundTripsThroughTheReader) {
   auto parsed = obs::ReadMetricsJson(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->stable_counters.at("engine.commits"), 12u);
-  EXPECT_EQ(parsed->volatile_counters.at("engine.cache_hits"), 99u);
+  EXPECT_EQ(parsed->volatile_counters.at("engine.kb_image_loads"), 99u);
   EXPECT_EQ(parsed->stable_gauges.at("rate_ppm"), 250'000u);
   const obs::HistogramSnapshot& h = parsed->stable_histograms.at("sizes");
   EXPECT_EQ(h.bounds, (std::vector<uint64_t>{1, 8}));
@@ -531,7 +529,7 @@ TEST(GoldenTraceTest, MetricsStableSectionIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial->stable_gauges, pooled->stable_gauges);
   EXPECT_GT(serial->stable_counters.at("engine.invocations"), 0u);
   // The volatile section exists but is exempt from the determinism bar.
-  EXPECT_TRUE(serial->volatile_counters.count("engine.cache_hits"));
+  EXPECT_TRUE(serial->volatile_counters.count("engine.kb_image_loads"));
 }
 
 // ---------------------------------------------------------------------------

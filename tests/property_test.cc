@@ -18,7 +18,6 @@
 #include "durability/journal.h"
 #include "core/run_api.h"
 #include "corpus/scale.h"
-#include "engine/concept_cache.h"
 #include "engine/invocation_engine.h"
 #include "formats/sniffer.h"
 #include "kb/accessions.h"
@@ -85,7 +84,7 @@ TEST_P(ModuleAnnotationProperty, AnnotationInvariantsHold) {
   EXPECT_LT(metrics->redundant_examples, metrics->num_examples);
 
   // Coverage bounds; inputs always fully covered on this corpus.
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.kb);
   CoverageReport report = analyzer.Analyze(spec, examples);
   EXPECT_TRUE(report.inputs_fully_covered()) << spec.name;
   EXPECT_LE(report.coverage(), 1.0);
@@ -314,7 +313,7 @@ INSTANTIATE_TEST_SUITE_P(Genes, TranscriptionInvarianceProperty,
 
 // ---------------------------------------------------------------------
 // Metrics conservation: the engine counters obey accounting identities —
-// no lookup, attempt or commit can go missing or be double-counted.
+// no attempt or commit can go missing or be double-counted.
 
 class MetricsConservationProperty : public ::testing::TestWithParam<size_t> {};
 
@@ -330,21 +329,13 @@ TEST_P(MetricsConservationProperty, FaultedAnnotateRunObeysConservationLaws) {
   auto wrapped = WrapRegistryWithFaults(*env.corpus.registry, profile,
                                         &engine->metrics());
   ASSERT_TRUE(wrapped.ok()) << wrapped.status();
-  auto cache = std::make_shared<ConceptCache>(env.corpus.ontology.get(),
-                                              &engine->metrics());
   ExampleGenerator generator =
-      config.MakeGenerator(cache, env.pool.get(), engine.get());
+      config.MakeGenerator(env.corpus.ontology.get(), env.pool.get(),
+                           engine.get());
   auto report = AnnotateRegistry(generator, **wrapped);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->complete()) << report->run_status;
   const EngineMetricsSnapshot m = report->metrics;
-
-  // Every cache lookup resolves as exactly one hit or one miss, and the
-  // engine mirror agrees with the cache's own counters.
-  EXPECT_GT(m.cache_queries, 0u);
-  EXPECT_EQ(m.cache_hits + m.cache_misses, m.cache_queries);
-  EXPECT_EQ(cache->hits() + cache->misses(), cache->queries());
-  EXPECT_EQ(m.cache_queries, cache->queries());
 
   // Errors are a subset of attempts; every retry follows a counted failed
   // attempt; every injected fault and deadline exhaustion is a counted

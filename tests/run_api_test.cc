@@ -97,7 +97,7 @@ TEST(RunApiTest, ValidatesRequiredFieldsPerKind) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
   auto registry = FreshRegistry();
 
   RunRequest durable = MakeAnnotateRun(generator, *registry);
@@ -115,7 +115,7 @@ TEST(RunApiTest, ValidatesRequiredFieldsPerKind) {
 
 TEST(RunApiTest, AnnotateFacadeMatchesDirectEntry) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
 
   auto direct_registry = FreshRegistry();
   auto direct = AnnotateRegistry(generator, *direct_registry);
@@ -153,7 +153,7 @@ TEST(RunApiTest, AnnotateFacadeByteIdenticalAcrossThreadCounts) {
 
 TEST(RunApiTest, DurableAnnotateFacadeMatchesLegacyShim) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
 
   // Legacy entry point (its last legitimate call sites are this equivalence
   // suite and the shims themselves — dexa-lint bans it elsewhere).
@@ -213,7 +213,7 @@ TEST(RunApiTest, DurableAnnotateJournalByteIdenticalAcrossThreadCounts) {
 
 TEST(RunApiTest, DurableAnnotateCrashResumesThroughFacade) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.kb, env.pool.get());
 
   // Uninterrupted facade run: the baseline annotations.
   const std::string baseline_dir = FreshDir("crash_baseline");

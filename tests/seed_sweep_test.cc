@@ -39,13 +39,14 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
   ASSERT_TRUE(provenance.ok()) << provenance.status();
   AnnotatedInstancePool pool =
       HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
+  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  ExampleGenerator generator(kb, &pool);
   auto annotated = AnnotateRegistry(generator, *corpus->registry);
   ASSERT_TRUE(annotated.ok()) << annotated.status();
   ASSERT_TRUE(annotated->complete()) << annotated->run_status;
 
   // Tables 1-3 and the Section 4.3 coverage results.
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(kb);
   std::map<std::string, int> completeness;
   std::map<std::string, int> conciseness;
   size_t input_covered = 0;

@@ -12,6 +12,7 @@
 
 #include "core/example_generator.h"
 #include "corpus/corpus.h"
+#include "kbimage/compiled_kb.h"
 #include "provenance/workflow_corpus.h"
 
 namespace dexa {
@@ -23,6 +24,9 @@ struct Environment {
   WorkflowCorpus workflows;
   ProvenanceCorpus provenance;
   std::unique_ptr<AnnotatedInstancePool> pool;
+  /// The corpus ontology compiled in memory: what every component reasons
+  /// over.
+  std::shared_ptr<const kbimage::CompiledKb> kb;
   // Registry annotated with generated data examples; modules retired.
 };
 
@@ -57,7 +61,8 @@ inline const Environment& GetEnvironment() {
         HarvestPool(out->provenance, *out->corpus.registry,
                     *out->corpus.ontology));
 
-    ExampleGenerator generator(out->corpus.ontology.get(), out->pool.get());
+    out->kb = kbimage::CompiledKb::CompileOrDie(*out->corpus.ontology);
+    ExampleGenerator generator(out->kb, out->pool.get());
     auto annotated = AnnotateRegistry(generator, *out->corpus.registry);
     if (!annotated.ok()) {
       ADD_FAILURE() << "AnnotateRegistry: " << annotated.status();

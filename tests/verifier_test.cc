@@ -14,7 +14,7 @@ using testing_env::GetEnvironment;
 class VerifierTest : public ::testing::Test {
  protected:
   VerifierTest()
-      : env_(GetEnvironment()), verifier_(env_.corpus.ontology.get()) {}
+      : env_(GetEnvironment()), verifier_(env_.kb) {}
 
   std::vector<OutputAnnotationReport> ReportsFor(const std::string& name) {
     ModulePtr module = *env_.corpus.registry->FindByName(name);

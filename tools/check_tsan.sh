@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Builds the engine-facing tests under ThreadSanitizer and runs them.
 # The invocation engine is the only place dexa shares mutable state across
-# threads (work queue, concept cache, metrics, virtual clock, breaker map,
-# commit hook), so engine_test and fault_test (retries, breakers and fault
-# injection under the pooled engine) plus generator_test (which drives the
-# engine through AnnotateRegistry) cover the racy surface. durability_test
-# exercises the journaled commit path under the 8-thread engine, io_test
-# the corruption-hardened readers it recovers through, and obs_test the
-# Tracer (mutex-guarded span log) riding along pooled annotate runs.
+# threads (work queue, metrics, virtual clock, breaker map, commit hook);
+# the compiled KB every component reasons over is shared across the same
+# threads but immutable. So engine_test and fault_test (retries, breakers
+# and fault injection under the pooled engine) plus generator_test (which
+# drives the engine through AnnotateRegistry) cover the racy surface.
+# durability_test exercises the journaled commit path under the 8-thread
+# engine, io_test the corruption-hardened readers it recovers through, and
+# obs_test the Tracer (mutex-guarded span log) riding along pooled
+# annotate runs.
 #
 # This is the ThreadSanitizer leg of the three-sanitizer gate; the
 # one-command entry point is tools/check_static.sh, which runs dexa-lint
@@ -33,13 +35,14 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "$BUILD_DIR/tests/durability_test"
 "$BUILD_DIR/tests/io_test"
 "$BUILD_DIR/tests/obs_test"
-# kbimage_test: the ConceptCache shared across engine threads can be
-# backed by the mmap'd image; the equivalence sweep runs here so TSan
-# sees the image-backed read path too.
+# kbimage_test: the compiled KB is shared across engine threads, loaded
+# from an mmap'd file or compiled in memory; the equivalence sweep runs
+# here so TSan sees both read paths too (engine_test's
+# CompiledKbTest.ConcurrentLookupsAgree reads one image from 8 workers).
 "$BUILD_DIR/tests/kbimage_test"
 # run_api_test + serve_test: the RunRequest facade and the run-manager
 # daemon fan concurrent runs (separate registries, one shared engine and
-# concept cache) over the pool — the serve layer's entire racy surface.
+# compiled KB) over the pool — the serve layer's entire racy surface.
 "$BUILD_DIR/tests/run_api_test"
 "$BUILD_DIR/tests/serve_test"
 # chaos_test: concurrent tenants over the shared engine while per-run

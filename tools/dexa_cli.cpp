@@ -5,9 +5,11 @@
 // global flags, finds the row, and calls it. Global flags may appear
 // anywhere on the line and apply to every subcommand:
 //
-//   --kb-image=<file>   serve all reasoning from a compiled KB image
-//                       (mmap-backed, interned ids) instead of the
-//                       in-memory corpus
+//   --kb-image=<file>   reason over this compiled KB image file
+//                       (mmap-backed) and adopt its ontology and KB
+//                       instead of building the corpus ones; without it,
+//                       reasoning runs over the corpus ontology compiled
+//                       in memory
 //   --threads=<n>       worker threads of the invocation engine
 //                       (default 1 = serial; runs are byte-identical at
 //                       any thread count)
@@ -64,15 +66,11 @@ struct CliEnv {
   ProvenanceCorpus provenance;
   std::unique_ptr<AnnotatedInstancePool> pool;
 
-  /// The compiled image backing this run, or null for the in-memory
-  /// backend.
-  std::shared_ptr<const kbimage::CompiledKb> kb_image;
-  /// Shared reasoning cache for every component the commands construct;
-  /// backed by the image's bitsets when kb_image is set, by the in-memory
-  /// ontology otherwise. Either way all hot-path reasoning keys on
-  /// ConceptId, so the two backends produce byte-identical output.
-  std::shared_ptr<const ConceptCache> cache;
-  /// Image seal, recorded in durable run headers; 0 for in-memory runs.
+  /// The KB every component the commands construct reasons over: the
+  /// --kb-image file, or the corpus ontology compiled in memory.
+  std::shared_ptr<const kbimage::CompiledKb> kb;
+  /// Seal of the --kb-image file, recorded in durable run headers; 0 when
+  /// no image file was given.
   uint64_t kb_checksum = 0;
 };
 
@@ -85,7 +83,8 @@ struct CliContext {
   std::optional<CliEnv> env;
 
   ExampleGenerator MakeGenerator() const {
-    return config.MakeGenerator(env->cache, env->pool.get(), engine.get());
+    return ExampleGenerator(env->kb, env->pool.get(),
+                            config.generator_options(), engine.get());
   }
 };
 
@@ -103,31 +102,27 @@ Status BuildEnv(CliContext& ctx, bool retire, bool annotate) {
   if (!ctx.kb_image_path.empty()) {
     auto image = kbimage::CompiledKb::Load(ctx.kb_image_path);
     if (!image.ok()) return image.status();
-    env.kb_image =
-        std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
-    env.kb_checksum = env.kb_image->checksum();
+    env.kb = std::move(image).value();
+    env.kb_checksum = env.kb->checksum();
     ctx.engine->metrics().RecordKbImageLoad();
     // The corpus adopts the image's ontology and KB instead of rebuilding
     // them; concept ids are dense insertion indices in both, so the
     // materialized ontology and the image view agree on every ConceptId.
-    auto ontology = env.kb_image->MaterializeOntology();
+    auto ontology = env.kb->MaterializeOntology();
     if (!ontology.ok()) return ontology.status();
     corpus_options.prebuilt_ontology =
         std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env.kb_image->MaterializeKnowledgeBase();
+    auto kb = env.kb->MaterializeKnowledgeBase();
     if (!kb.ok()) return kb.status();
     corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env.kb_image->kb_seed();
+    corpus_options.seed = env.kb->kb_seed();
   }
   auto corpus = BuildCorpus(corpus_options);
   if (!corpus.ok()) return corpus.status();
   env.corpus = std::move(corpus).value();
-  if (env.kb_image != nullptr) {
-    env.cache = std::make_shared<ConceptCache>(env.kb_image,
-                                               &ctx.engine->metrics());
-  } else {
-    env.cache = std::make_shared<ConceptCache>(env.corpus.ontology.get(),
-                                               &ctx.engine->metrics());
+  if (env.kb == nullptr) {
+    DEXA_ASSIGN_OR_RETURN(env.kb,
+                          kbimage::CompiledKb::Compile(*env.corpus.ontology));
   }
   auto workflows = GenerateWorkflowCorpus(env.corpus);
   if (!workflows.ok()) return workflows.status();
@@ -164,7 +159,7 @@ int CmdTables(CliContext& ctx, const std::vector<std::string>&) {
   std::map<ModuleKind, int> census;
   std::map<std::string, int, std::greater<std::string>> completeness;
   std::map<std::string, int, std::greater<std::string>> conciseness;
-  CoverageAnalyzer analyzer(env.cache);
+  CoverageAnalyzer analyzer(env.kb);
   size_t exceptions = 0;
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);
@@ -445,7 +440,7 @@ int CmdCompare(CliContext& ctx, const std::vector<std::string>& args) {
   if (!left.ok()) return Fail(left.status());
   if (!right.ok()) return Fail(right.status());
   ExampleGenerator generator = ctx.MakeGenerator();
-  ModuleMatcher matcher(env.cache, &generator);
+  ModuleMatcher matcher(env.kb, &generator);
   auto result = matcher.Compare(**left, **right);
   if (!result.ok()) return Fail(result.status());
   std::cout << args[0] << " vs " << args[1] << ": "
@@ -481,7 +476,7 @@ int CmdDiscover(CliContext& ctx, const std::vector<std::string>& args) {
   if (in_concept == kInvalidConcept || out_concept == kInvalidConcept) {
     return Fail(Status::NotFound("unknown concept (see export-ontology)"));
   }
-  BehaviorDiscovery discovery(env.cache, env.corpus.registry.get());
+  BehaviorDiscovery discovery(env.kb, env.corpus.registry.get());
   DiscoveryQuery query;
   query.input_concept = in_concept;
   query.input_type = DefaultTypeFor(args[0]);
@@ -508,7 +503,7 @@ int CmdCompose(CliContext& ctx, const std::vector<std::string>& args) {
   }
   size_t depth = 3;
   if (args.size() == 3) depth = static_cast<size_t>(std::stoul(args[2]));
-  ExampleGuidedComposer composer(env.cache, env.corpus.registry.get(),
+  ExampleGuidedComposer composer(env.kb, env.corpus.registry.get(),
                                  env.pool.get());
   CompositionRequest request;
   request.source_concept = in_concept;
@@ -749,8 +744,8 @@ int Usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
 
-  // Global flags may appear anywhere; they configure the backend and the
-  // engine for the whole run, independent of the subcommand.
+  // Global flags may appear anywhere; they choose the KB image and
+  // configure the engine for the whole run, independent of the subcommand.
   CliContext ctx;
   ctx.config.Threads(1);
   for (size_t i = 0; i < args.size();) {

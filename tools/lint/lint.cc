@@ -468,11 +468,11 @@ LintReport LintPaths(const std::string& root,
       }
     }
     if (hit) {
-      if (stats != nullptr) ++stats->cache_hits;
+      if (stats != nullptr) ++stats->files_cached;
       files.push_back(std::move(cached));
       continue;
     }
-    if (stats != nullptr) ++stats->cache_misses;
+    if (stats != nullptr) ++stats->files_analyzed;
     files.push_back(AnalyzeSource(rel, content));
     std::ofstream rec(record_path, std::ios::binary | std::ios::trunc);
     if (rec) rec << SerializeAnalyzedFile(files.back());
@@ -539,8 +539,8 @@ int RunLintCli(int argc, char** argv) {
             << report.findings.size() << " finding(s), " << report.suppressed
             << " suppressed";
   if (!cache_dir.empty()) {
-    std::cout << " (" << stats.cache_hits << " cached, " << stats.cache_misses
-              << " analyzed)";
+    std::cout << " (" << stats.files_cached << " cached, "
+              << stats.files_analyzed << " analyzed)";
   }
   std::cout << "\n";
   if (!json_path.empty()) {

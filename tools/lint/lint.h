@@ -42,8 +42,8 @@ AnalyzedFile AnalyzeSource(const std::string& rel_path,
 
 /// Run statistics surfaced to bench_lint and `-v` style diagnostics.
 struct LintStats {
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
+  size_t files_cached = 0;    ///< served from the analysis cache
+  size_t files_analyzed = 0;  ///< lexed and rule-checked afresh
   double taint_ms = 0;  ///< call-graph build + taint propagation
 };
 

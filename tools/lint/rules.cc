@@ -440,7 +440,7 @@ bool IsOntologyReceiver(const Token& t) {
 
 /// Consumer layers must key concepts by ConceptId: names are resolved once
 /// at boundaries (construction, serialization, diagnostics — `_io.` files
-/// are exempt wholesale). `KbView::ConceptName`/`FindConcept` are the
+/// are exempt wholesale). `CompiledKb::ConceptName`/`FindConcept` are the
 /// sanctioned spellings for those boundaries, so only the Ontology string
 /// APIs (`NameOf`, and `Find`/`Require` on an ontology receiver) are
 /// flagged.
@@ -460,7 +460,7 @@ void CheckStringKeyedLookup(const SourceFile& f, const GlobalContext&,
       out.push_back({"string-keyed-lookup", f.path, t[i].line,
                      "Ontology::NameOf on a consumer hot path; key on "
                      "ConceptId and resolve names once at the boundary "
-                     "(KbView::ConceptName)"});
+                     "(CompiledKb::ConceptName)"});
       continue;
     }
     if (name != "Find" && name != "Require") continue;
@@ -471,21 +471,18 @@ void CheckStringKeyedLookup(const SourceFile& f, const GlobalContext&,
     out.push_back({"string-keyed-lookup", f.path, t[i].line,
                    "string-keyed ontology lookup `" + name +
                        "` outside src/ontology|kb|kbimage; intern to a "
-                       "ConceptId at the boundary (KbView::FindConcept) and "
-                       "pass ids"});
+                       "ConceptId at the boundary (CompiledKb::FindConcept) "
+                       "and pass ids"});
   }
 }
 
-/// Reasoning primitives in the hot layers must route through ConceptCache
-/// (which memoizes and is backed by either ontology DFS or compiled-image
-/// bitsets). A direct call on an ontology receiver bypasses both the memo
-/// and the image backend.
+/// Reasoning primitives in the hot layers must be answered by the compiled
+/// KB (kbimage::CompiledKb: bitset loads and precomputed spans). A direct
+/// call on an ontology receiver runs the Ontology's DFS instead. No file of
+/// either layer is exempt.
 void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
                             std::vector<Finding>& out) {
   if (f.layer != "engine" && f.layer != "core") return;
-  // concept_cache.cc is the cache: it is the one sanctioned caller of the
-  // backing view's reasoning primitives.
-  if (f.path.find("concept_cache") != std::string::npos) return;
   static const std::set<std::string> kPrimitives = {
       "IsSubsumedBy", "Descendants", "Partitions", "LeastCommonSubsumer",
       "Comparable"};
@@ -498,9 +495,8 @@ void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
     if (!IsOntologyReceiver(t[i - 2])) continue;
     out.push_back({"uncached-reasoning", f.path, t[i].line,
                    "direct ontology reasoning call `" + t[i].text +
-                       "` in a hot layer; route through ConceptCache so the "
-                       "answer is memoized and backend-agnostic (in-memory "
-                       "or compiled KB image)"});
+                       "` in a hot layer; reason through the compiled KB "
+                       "(kbimage::CompiledKb), never the raw Ontology"});
   }
 }
 
@@ -842,11 +838,11 @@ const std::vector<RuleInfo>& Rules() {
        &CheckUnnamedSpan},
       {"string-keyed-lookup", "concept-interning",
        "consumer layers key concepts by ConceptId; names resolve once at "
-       "boundaries (KbView::ConceptName/FindConcept)",
+       "boundaries (CompiledKb::ConceptName/FindConcept)",
        &CheckStringKeyedLookup},
       {"uncached-reasoning", "concept-interning",
-       "subsumption/partition reasoning in src/engine+src/core routes "
-       "through ConceptCache, never the raw ontology",
+       "subsumption/partition reasoning in src/engine+src/core goes "
+       "through the compiled KB, never the raw Ontology",
        &CheckUncachedReasoning},
       {"legacy-run-entry", "run-entry",
        "runs are submitted through the RunRequest facade (SubmitRun); the "
@@ -873,7 +869,7 @@ const std::map<std::string, std::set<std::string>>& LayerDependencies() {
       {"kbimage", {"common", "types", "ontology", "kb"}},
       {"modules", {"common", "types", "ontology"}},
       {"pool", {"common", "types", "ontology"}},
-      {"engine", {"common", "types", "ontology", "kbimage", "modules"}},
+      {"engine", {"common", "types", "ontology", "modules"}},
       {"obs", {"common", "engine"}},
       {"corpus",
        {"common", "types", "ontology", "formats", "kb", "modules", "pool",
