@@ -83,7 +83,7 @@ Result<GenerationOutcome> ExampleGenerator::Generate(
       candidates[i].push_back(
           Candidate{partition, std::move(instance).value()});
     }
-    if (param.optional && options_.include_null_for_optional) {
+    if (param.optional) {
       candidates[i].push_back(Candidate{kInvalidConcept, Value::Null()});
     }
     if (candidates[i].empty()) {

@@ -21,12 +21,12 @@ class RunJournal;
 struct JournalRecovery;
 struct CrashPlan;
 
-/// Which of the four run families a RunRequest describes. The facade
-/// subsumes the historical entry points one-to-one:
-///   kAnnotate        — AnnotateRegistry
-///   kAnnotateDurable — AnnotateRegistryDurable
-///   kEnact           — EnactResilient
-///   kEnactDurable    — EnactResilientDurable
+/// Which of the four run families a RunRequest describes:
+///   kAnnotate        — AnnotateRegistry, in memory
+///   kAnnotateDurable — AnnotateRegistry with a write-ahead journal
+///   kEnact           — EnactResilient, in memory
+///   kEnactDurable    — EnactResilient with a write-ahead journal
+/// The two durable kinds have no other entry point than SubmitRun.
 enum class RunKind {
   kAnnotate = 0,
   kAnnotateDurable = 1,
@@ -37,11 +37,10 @@ enum class RunKind {
 const char* RunKindName(RunKind kind);
 
 /// One run, fully described: the single struct the CLI, the serve daemon's
-/// RunManager, and tests hand to SubmitRun() instead of picking among four
-/// entry points with options scattered across DurableAnnotateOptions,
-/// DurableEnactOptions and EnactHooks. All pointers are non-owning and must
-/// outlive the SubmitRun call; which fields are required depends on `kind`
-/// (SubmitRun validates and fails with kInvalidArgument on a mismatch).
+/// RunManager, benches and tests hand to SubmitRun(). All pointers are
+/// non-owning and must outlive the SubmitRun call; which fields are
+/// required depends on `kind` (SubmitRun validates and fails with
+/// kInvalidArgument on a mismatch).
 struct RunRequest {
   RunKind kind = RunKind::kAnnotate;
 
@@ -65,7 +64,9 @@ struct RunRequest {
   RunJournal* journal = nullptr;
   /// Resume from a crashed run's recovered journal; null starts fresh.
   const JournalRecovery* resume = nullptr;
-  /// In-process crash injection; null means no crash plan.
+  /// In-process crash injection; null means an unarmed plan (no crash).
+  /// Annotate runs stop at the chosen module commit with run_status =
+  /// kCancelled; enact runs fail with kCancelled at the chosen step.
   const CrashPlan* crash = nullptr;
   /// Seal of the KB image file pinned into durable annotate run headers
   /// (0 = no image file; reasoning used an image compiled in memory).
@@ -92,23 +93,22 @@ struct RunResult {
 
   /// OK for runs that ran to completion; the abort cause otherwise
   /// (kCancelled for an injected crash of a durable annotate run — crashed
-  /// annotate runs still return a partial report, exactly like the legacy
-  /// entry point did).
+  /// annotate runs still return a partial report covering the committed
+  /// prefix).
   Status run_status;
 
   bool complete() const { return run_status.ok(); }
 };
 
 /// Runs one RunRequest to completion and returns what it produced. This is
-/// THE run entry point: the legacy signatures (AnnotateRegistryDurable,
-/// EnactResilientDurable) are thin shims over it, and new call sites —
-/// including the serve daemon's RunManager and every CLI command — must not
-/// call them directly (dexa-lint rule `legacy-run-entry`).
+/// THE run entry point, and the only one for the durable kinds: the serve
+/// daemon's RunManager, every CLI command, the benches and the tests all
+/// start their runs here.
 ///
-/// Semantics are exactly those of the subsumed entry points, byte for byte
-/// (enforced by the facade-equivalence suite in run_api_test.cc):
-/// deterministic at any thread count, durable kinds journal through a
-/// per-run CommitStream, injected crashes surface as run_status=kCancelled
+/// Runs are deterministic at any thread count; a durable annotate run
+/// records the same annotations as the in-memory one, and its journal
+/// bytes are pinned by golden tests. Durable kinds journal through a
+/// per-run CommitStream; injected crashes surface as run_status=kCancelled
 /// (annotate) or an error Result (enact).
 ///
 /// Defined in the durability layer (durability/run_api.cc): the facade must

@@ -49,8 +49,8 @@ uint64_t AnnotateConfigFingerprint(const ModuleRegistry& registry,
   fp = HashCombine(fp, static_cast<uint64_t>(options.max_combinations));
   fp = HashCombine(fp, static_cast<uint64_t>(options.use_realization));
   fp = HashCombine(fp, static_cast<uint64_t>(options.full_cartesian));
-  fp = HashCombine(fp,
-                   static_cast<uint64_t>(options.include_null_for_optional));
+  // Retired null-for-optional knob, always on: keeps old run headers valid.
+  fp = HashCombine(fp, uint64_t{1});
   return fp;
 }
 

@@ -91,12 +91,6 @@ Result<EnactmentResult> Enact(const Workflow& workflow,
 
 Result<ResilientEnactmentResult> EnactResilient(
     const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine) {
-  return EnactResilient(workflow, registry, inputs, engine, EnactHooks{});
-}
-
-Result<ResilientEnactmentResult> EnactResilient(
-    const Workflow& workflow, const ModuleRegistry& registry,
     const std::vector<Value>& inputs, InvocationEngine& engine,
     const EnactHooks& hooks) {
   if (hooks.replayed != nullptr &&

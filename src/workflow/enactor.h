@@ -81,26 +81,10 @@ struct ResilientEnactmentResult {
   bool complete() const { return skipped_processors.empty(); }
 };
 
-/// Enacts `workflow` like Enact(), but degrades gracefully instead of
-/// failing when a module decays mid-run: the failing processor and every
-/// processor downstream of it are skipped, the surviving portion of the
-/// workflow still runs (with its provenance captured), and the decayed
-/// module ids are reported so the caller can hand them to the repair
-/// subsystem. Retryable failures that survive the engine's retry policy
-/// skip the processor without marking the module decayed.
-///
-/// Still fails on structural errors (malformed workflow, wrong input
-/// arity, InvalidArgument from a module rejecting its inputs): those are
-/// bugs in the workflow or corpus, not infrastructure decay.
-[[nodiscard]] Result<ResilientEnactmentResult> EnactResilient(const Workflow& workflow,
-                                                const ModuleRegistry& registry,
-                                                const std::vector<Value>& inputs,
-                                                InvocationEngine& engine);
-
-/// Durability seams of a resilient enactment. The durable enactment runner
-/// (durability/durable_enact.h) uses these to journal every step and to
-/// serve already-committed steps from a recovered journal; the enactor
-/// itself stays storage-agnostic.
+/// Durability seams of a resilient enactment. The durable enactment run
+/// (RunKind::kEnactDurable, core/run_api.h) uses these to journal every
+/// step and to serve already-committed steps from a recovered journal; the
+/// enactor itself stays storage-agnostic.
 struct EnactHooks {
   /// One slot per workflow processor (by processor index). A present entry
   /// is a step committed by a previous run: its record is re-emitted as
@@ -124,13 +108,25 @@ struct EnactHooks {
   obs::RunObservability obs;
 };
 
-/// EnactResilient with durability hooks. `hooks.replayed`, when non-null,
-/// must have exactly one slot per processor.
-[[nodiscard]] Result<ResilientEnactmentResult> EnactResilient(const Workflow& workflow,
-                                                const ModuleRegistry& registry,
-                                                const std::vector<Value>& inputs,
-                                                InvocationEngine& engine,
-                                                const EnactHooks& hooks);
+/// Enacts `workflow` like Enact(), but degrades gracefully instead of
+/// failing when a module decays mid-run: the failing processor and every
+/// processor downstream of it are skipped, the surviving portion of the
+/// workflow still runs (with its provenance captured), and the decayed
+/// module ids are reported so the caller can hand them to the repair
+/// subsystem. Retryable failures that survive the engine's retry policy
+/// skip the processor without marking the module decayed.
+///
+/// Still fails on structural errors (malformed workflow, wrong input
+/// arity, InvalidArgument from a module rejecting its inputs): those are
+/// bugs in the workflow or corpus, not infrastructure decay.
+///
+/// `hooks` adds the durability seams and observability; the default enacts
+/// everything live. `hooks.replayed`, when non-null, must have exactly one
+/// slot per processor.
+[[nodiscard]] Result<ResilientEnactmentResult> EnactResilient(
+    const Workflow& workflow, const ModuleRegistry& registry,
+    const std::vector<Value>& inputs, InvocationEngine& engine,
+    const EnactHooks& hooks = {});
 
 /// Extracts the sub-workflow induced by `processor_indices` (Section 6:
 /// validating substitutes on sub-workflows). Dangling inputs — links from

@@ -15,12 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_config.h"
+#include "core/run_api.h"
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
 #include "common/io_env.h"
 #include "durability/commit_codec.h"
-#include "durability/durable_annotate.h"
-#include "durability/durable_enact.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "durability/trace_io.h"
@@ -417,6 +416,22 @@ TEST(RegistryIoTest, TruncatedAnnotationsAreCorruptedAndAtomic) {
   }
 }
 
+/// A durable annotate run of `generator` over `registry` into `journal`,
+/// submitted through SubmitRun: `resume` continues a recovered journal and
+/// `crash` injects a crash (null: neither). Returns the run's report.
+Result<AnnotateReport> SubmitDurableAnnotate(
+    const ExampleGenerator& generator, ModuleRegistry& registry,
+    RunJournal& journal, const JournalRecovery* resume = nullptr,
+    const CrashPlan* crash = nullptr) {
+  RunRequest request = MakeDurableAnnotateRun(
+      generator, registry, *GetEnvironment().corpus.ontology, journal);
+  request.resume = resume;
+  request.crash = crash;
+  auto run = SubmitRun(request);
+  if (!run.ok()) return run.status();
+  return std::move(run->annotate);
+}
+
 /// One full durable annotation run (no crash) into `dir`; returns the
 /// serialized annotations of the resulting registry.
 std::string UninterruptedRunState(size_t threads, const std::string& dir) {
@@ -428,8 +443,7 @@ std::string UninterruptedRunState(size_t threads, const std::string& dir) {
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir, {}, &engine->metrics());
   EXPECT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal);
+  auto report = SubmitDurableAnnotate(generator, *registry, *journal);
   EXPECT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE((*report).complete()) << (*report).run_status;
   EXPECT_GT((*report).metrics.commits, 0u);
@@ -471,12 +485,11 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
     ASSERT_GT(modules.size(), crash_case.module_index);
     crash_module_id = modules[crash_case.module_index]->spec().id;
 
-    DurableAnnotateOptions options;
-    options.crash.point = crash_case.point;
-    options.crash.key = crash_module_id;
-    auto report =
-        AnnotateRegistryDurable(generator, *crashed_registry,
-                                *env.corpus.ontology, *journal, options);
+    CrashPlan crash;
+    crash.point = crash_case.point;
+    crash.key = crash_module_id;
+    auto report = SubmitDurableAnnotate(generator, *crashed_registry,
+                                        *journal, nullptr, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_FALSE(report->complete());
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
@@ -500,9 +513,8 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
   }
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistry(generator, *resumed_registry,
-                                 *env.corpus.ontology, *journal,
-                                 ResumeFrom(*recovery));
+  auto report = SubmitDurableAnnotate(generator, *resumed_registry, *journal,
+                                      &*recovery);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
 
@@ -572,12 +584,11 @@ TEST(CommitStreamTest, GroupsNumberUnitsConsecutivelyAndCountEach) {
 }
 
 /// A fresh durable annotation of the paper corpus into `dir` through `io`,
-/// at 1 thread; returns the report.
+/// at 1 thread, crashing per `crash` (null: no crash); returns the report.
 Result<AnnotateReport> DurableAnnotate(ModuleRegistry& registry,
                                        const std::string& dir,
                                        JournalOptions journal_options,
-                                       IoEnv* io,
-                                       const DurableAnnotateOptions& options) {
+                                       IoEnv* io, const CrashPlan* crash) {
   const auto& env = GetEnvironment();
   EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
   auto engine = config.BuildEngine();
@@ -586,8 +597,7 @@ Result<AnnotateReport> DurableAnnotate(ModuleRegistry& registry,
   auto journal =
       RunJournal::Create(dir, journal_options, &engine->metrics(), io);
   if (!journal.ok()) return journal.status();
-  return AnnotateRegistryDurable(generator, registry, *env.corpus.ontology,
-                                 *journal, options);
+  return SubmitDurableAnnotate(generator, registry, *journal, nullptr, crash);
 }
 
 TEST(GroupCommitTest, DurableAnnotateSyncsPerSegmentNotPerModule) {
@@ -596,7 +606,7 @@ TEST(GroupCommitTest, DurableAnnotateSyncsPerSegmentNotPerModule) {
   const std::string dir = FreshDir("group-count");
   CountingIoEnv io;
   auto registry = FreshRegistry();
-  auto report = DurableAnnotate(*registry, dir, options, &io, {});
+  auto report = DurableAnnotate(*registry, dir, options, &io, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->complete()) << report->run_status;
   const size_t modules = registry->AvailableModules().size();
@@ -642,7 +652,7 @@ TEST(GroupCommitTest, FsyncFailureOnAGroupAcknowledgesNoneOfItAndResumes) {
     const std::string clean_dir = FreshDir("group-fsync-clean");
     auto clean_registry = FreshRegistry();
     auto clean = DurableAnnotate(*clean_registry, clean_dir, options, nullptr,
-                                 {});
+                                 nullptr);
     ASSERT_TRUE(clean.ok()) << clean.status();
     const std::vector<std::string> segments = SegmentBytes(clean_dir);
     ASSERT_GT(segments.size(), 4u);
@@ -658,7 +668,7 @@ TEST(GroupCommitTest, FsyncFailureOnAGroupAcknowledgesNoneOfItAndResumes) {
     IoFaultProfile profile;
     profile.fsync_fail_at = 6;
     FaultyIoEnv faulty(profile);
-    auto report = DurableAnnotate(*registry, dir, options, &faulty, {});
+    auto report = DurableAnnotate(*registry, dir, options, &faulty, nullptr);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->run_status.IsCorrupted()) << report->run_status;
     EXPECT_EQ(faulty.faults_injected(), 1u);
@@ -691,9 +701,8 @@ TEST(GroupCommitTest, FsyncFailureOnAGroupAcknowledgesNoneOfItAndResumes) {
   auto journal = RunJournal::Resume(dir, *recovery, options, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
   auto resumed_registry = FreshRegistry();
-  auto report = AnnotateRegistry(generator, *resumed_registry,
-                                 *env.corpus.ontology, *journal,
-                                 ResumeFrom(*recovery));
+  auto report = SubmitDurableAnnotate(generator, *resumed_registry, *journal,
+                                      &*recovery);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
   EXPECT_GT(report->replayed, 0u);
@@ -719,10 +728,10 @@ TEST(GroupCommitTest, RecoveredRecordsEqualTheAcknowledgedAtEveryCrashPoint) {
           std::string(CrashPointName(point)) + "@" + std::to_string(index);
       const std::string dir = FreshDir("group-crash");
       auto registry = FreshRegistry();
-      DurableAnnotateOptions options;
-      options.crash.point = point;
-      options.crash.key = registry->AvailableModules()[index]->spec().id;
-      auto report = DurableAnnotate(*registry, dir, {}, nullptr, options);
+      CrashPlan crash;
+      crash.point = point;
+      crash.key = registry->AvailableModules()[index]->spec().id;
+      auto report = DurableAnnotate(*registry, dir, {}, nullptr, &crash);
       ASSERT_TRUE(report.ok()) << label << ": " << report.status();
       EXPECT_TRUE(report->run_status.IsCancelled())
           << label << ": " << report->run_status;
@@ -765,12 +774,11 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
     auto registry = FreshRegistry();
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableAnnotateOptions options;
-    options.crash.point = CrashPoint::kCrashBeforeCommit;
-    options.crash.key = registry->AvailableModules()[0]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashBeforeCommit;
+    crash.key = registry->AvailableModules()[0]->spec().id;
+    auto report =
+        SubmitDurableAnnotate(generator, *registry, *journal, nullptr, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
   }
@@ -788,13 +796,11 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
     ASSERT_EQ(recovery->records.size(), 1u);  // Header only.
     auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableAnnotateOptions options;
-    options.resume = &*recovery;
-    options.crash.point = CrashPoint::kCrashAfterCommit;
-    options.crash.key = registry->AvailableModules()[3]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = registry->AvailableModules()[3]->spec().id;
+    auto report = SubmitDurableAnnotate(generator, *registry, *journal,
+                                        &*recovery, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
   }
@@ -809,8 +815,8 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   ASSERT_TRUE(recovery.ok()) << recovery.status();
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistry(generator, *registry, *env.corpus.ontology,
-                                 *journal, ResumeFrom(*recovery));
+  auto report =
+      SubmitDurableAnnotate(generator, *registry, *journal, &*recovery);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
   EXPECT_EQ(report->replayed, 4u);
@@ -826,8 +832,7 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir);
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal);
+  auto report = SubmitDurableAnnotate(generator, *registry, *journal);
   ASSERT_TRUE(report.ok()) << report.status();
 
   // A generator with different options has a different fingerprint.
@@ -839,9 +844,8 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   auto resumed_registry = FreshRegistry();
   auto resumed_journal = RunJournal::Resume(dir, *recovery);
   ASSERT_TRUE(resumed_journal.ok()) << resumed_journal.status();
-  auto rejected = AnnotateRegistry(other_generator, *resumed_registry,
-                                   *env.corpus.ontology, *resumed_journal,
-                                   ResumeFrom(*recovery));
+  auto rejected = SubmitDurableAnnotate(other_generator, *resumed_registry,
+                                        *resumed_journal, &*recovery);
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
 }
@@ -877,15 +881,19 @@ Result<AnnotateReport> PinnedRun(const std::string& dir, uint64_t kb_checksum,
                      ? RunJournal::Resume(dir, *resume, {}, &engine.metrics())
                      : RunJournal::Create(dir, {}, &engine.metrics());
   if (!journal.ok()) return journal.status();
-  DurableAnnotateOptions options;
-  options.kb_checksum = kb_checksum;
-  options.resume = resume;
+  RunRequest request = MakeDurableAnnotateRun(generator, registry,
+                                              *env.corpus.ontology, *journal);
+  request.kb_checksum = kb_checksum;
+  request.resume = resume;
+  CrashPlan crash;
   if (crash_index.has_value()) {
-    options.crash.point = CrashPoint::kCrashAfterCommit;
-    options.crash.key = registry.AvailableModules()[*crash_index]->spec().id;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = registry.AvailableModules()[*crash_index]->spec().id;
   }
-  return AnnotateRegistryDurable(generator, registry, *env.corpus.ontology,
-                                 *journal, options);
+  request.crash = &crash;
+  auto run = SubmitRun(request);
+  if (!run.ok()) return run.status();
+  return std::move(run->annotate);
 }
 
 TEST(KbPinTest, RunWithoutAnImageFileWritesNoPinAndTheSameJournalBytes) {
@@ -978,6 +986,23 @@ const GeneratedWorkflow& PickWorkflow() {
   std::abort();
 }
 
+/// A durable enactment of `item` (its seeds as inputs) into `journal`,
+/// submitted through SubmitRun: `resume` continues a recovered journal and
+/// `crash` injects a crash (null: neither).
+Result<ResilientEnactmentResult> SubmitDurableEnact(
+    const GeneratedWorkflow& item, InvocationEngine& engine,
+    RunJournal& journal, const JournalRecovery* resume = nullptr,
+    const CrashPlan* crash = nullptr) {
+  RunRequest request =
+      MakeDurableEnactRun(item.workflow, *GetEnvironment().corpus.registry,
+                          item.seeds, engine, journal);
+  request.resume = resume;
+  request.crash = crash;
+  auto run = SubmitRun(request);
+  if (!run.ok()) return run.status();
+  return std::move(run->enact);
+}
+
 TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
   const auto& env = GetEnvironment();
   const GeneratedWorkflow& item = PickWorkflow();
@@ -998,11 +1023,10 @@ TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
     InvocationEngine engine;
     auto journal = RunJournal::Create(dir, {}, &engine.metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableEnactOptions options;
-    options.crash.point = CrashPoint::kCrashAfterCommit;
-    options.crash.key = crash_key;
-    auto crashed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                         inputs, engine, *journal, options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = crash_key;
+    auto crashed = SubmitDurableEnact(item, engine, *journal, nullptr, &crash);
     ASSERT_FALSE(crashed.ok());
     EXPECT_TRUE(crashed.status().IsCancelled()) << crashed.status();
   }
@@ -1014,10 +1038,7 @@ TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
   EXPECT_GT(recovery->records.size(), 1u);  // Header + committed steps.
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine.metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  DurableEnactOptions options;
-  options.resume = &*recovery;
-  auto resumed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                       inputs, engine, *journal, options);
+  auto resumed = SubmitDurableEnact(item, engine, *journal, &*recovery);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
 
   // Byte-identical outcome: outputs, provenance, and bookkeeping all match
@@ -1058,11 +1079,10 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
     InvocationEngine engine;
     auto journal = RunJournal::Create(dir, {}, &engine.metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableEnactOptions options;
-    options.crash.point = CrashPoint::kTornWrite;
-    options.crash.key = crash_key;
-    auto crashed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                         inputs, engine, *journal, options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kTornWrite;
+    crash.key = crash_key;
+    auto crashed = SubmitDurableEnact(item, engine, *journal, nullptr, &crash);
     ASSERT_FALSE(crashed.ok());
     EXPECT_TRUE(crashed.status().IsCancelled()) << crashed.status();
   }
@@ -1073,15 +1093,38 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
   EXPECT_TRUE(recovery->tail_discarded());
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine.metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  DurableEnactOptions options;
-  options.resume = &*recovery;
-  auto resumed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                       inputs, engine, *journal, options);
+  auto resumed = SubmitDurableEnact(item, engine, *journal, &*recovery);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   ASSERT_EQ(resumed->outputs.size(), baseline->outputs.size());
   for (size_t i = 0; i < baseline->outputs.size(); ++i) {
     EXPECT_TRUE(resumed->outputs[i].Equals(baseline->outputs[i]));
   }
+}
+
+/// Size and CRC-32 of the journal of one uninterrupted durable enactment
+/// of PickWorkflow(): the header and every step commit, framed. Recorded
+/// while the durable enact body still had an entry point of its own beside
+/// SubmitRun; any change to step encoding, framing or commit order moves
+/// them.
+constexpr size_t kEnactJournalBytes = 1405;
+constexpr uint32_t kEnactJournalCrc = 2636391051u;
+
+TEST(DurableEnactTest, JournalBytesArePinned) {
+  const GeneratedWorkflow& item = PickWorkflow();
+  const std::string dir = FreshDir("enact-pin");
+  {
+    InvocationEngine engine;
+    auto journal = RunJournal::Create(dir, {}, &engine.metrics());
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    auto run = SubmitDurableEnact(item, engine, *journal);
+    ASSERT_TRUE(run.ok()) << run.status();
+    ASSERT_TRUE(run->complete());
+  }
+
+  std::string bytes;
+  for (const std::string& segment : SegmentBytes(dir)) bytes += segment;
+  EXPECT_EQ(bytes.size(), kEnactJournalBytes);
+  EXPECT_EQ(Crc32(bytes), kEnactJournalCrc);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_config.h"
+#include "core/run_api.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
 #include "durability/journal.h"
 #include "modules/module.h"
 #include "obs/export.h"
@@ -553,14 +553,15 @@ std::string TracedResume(size_t threads, const std::string& dir,
     EXPECT_TRUE(journal.ok()) << journal.status();
     const auto modules = registry->AvailableModules();
     EXPECT_GT(modules.size(), crash_index);
-    DurableAnnotateOptions options;
-    options.crash.point = CrashPoint::kCrashBeforeCommit;
-    options.crash.key = modules[crash_index]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
-    EXPECT_TRUE(report.ok()) << report.status();
-    EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashBeforeCommit;
+    crash.key = modules[crash_index]->spec().id;
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal);
+    request.crash = &crash;
+    auto run = SubmitRun(request);
+    EXPECT_TRUE(run.ok()) << run.status();
+    EXPECT_TRUE(run->run_status.IsCancelled()) << run->run_status;
   }
 
   auto engine = config.BuildEngine();
@@ -573,16 +574,15 @@ std::string TracedResume(size_t threads, const std::string& dir,
   EXPECT_TRUE(journal.ok()) << journal.status();
 
   obs::Tracer tracer(&engine->clock());
-  DurableAnnotateOptions options;
-  options.resume = &*recovery;
-  options.obs.tracer = &tracer;
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal,
-                                        options);
-  EXPECT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->complete()) << report->run_status;
+  RunRequest request = MakeDurableAnnotateRun(generator, *registry,
+                                              *env.corpus.ontology, *journal);
+  request.resume = &*recovery;
+  request.obs.tracer = &tracer;
+  auto run = SubmitRun(request);
+  EXPECT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->complete()) << run->run_status;
   EXPECT_EQ(tracer.open_spans(), 0u);
-  if (out_replayed != nullptr) *out_replayed = report->replayed;
+  if (out_replayed != nullptr) *out_replayed = run->annotate.replayed;
   return obs::WriteChromeTrace(tracer);
 }
 

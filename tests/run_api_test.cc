@@ -1,8 +1,8 @@
-// Facade-equivalence suite for the RunRequest/RunResult API
-// (core/run_api.h): every run family submitted through SubmitRun must be
-// byte-identical to the entry point it subsumes — annotations, journal
-// bytes, enactment outputs — at any thread count, including crash-resume
-// through the facade.
+// Tests for the RunRequest/RunResult API (core/run_api.h), the only run
+// entry point: the in-memory kinds match the AnnotateRegistry /
+// EnactResilient bodies they run, the durable kinds record the same
+// annotations and enactment outputs as the in-memory ones, and every kind
+// is byte-identical at any thread count, including crash-resume.
 
 #include <filesystem>
 #include <memory>
@@ -14,8 +14,6 @@
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
-#include "durability/durable_enact.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "modules/registry_io.h"
@@ -151,40 +149,34 @@ TEST(RunApiTest, AnnotateFacadeByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(annotations_t1.empty());
 }
 
-TEST(RunApiTest, DurableAnnotateFacadeMatchesLegacyShim) {
+TEST(RunApiTest, DurableAnnotateRecordsTheInMemoryAnnotations) {
   const auto& env = GetEnvironment();
   ExampleGenerator generator(env.kb, env.pool.get());
 
-  // Legacy entry point (its last legitimate call sites are this equivalence
-  // suite and the shims themselves — dexa-lint bans it elsewhere).
-  const std::string legacy_dir = FreshDir("legacy");
-  auto legacy_registry = FreshRegistry();
+  auto memory_registry = FreshRegistry();
+  auto memory = SubmitRun(MakeAnnotateRun(generator, *memory_registry));
+  ASSERT_TRUE(memory.ok()) << memory.status();
+  ASSERT_TRUE(memory->complete()) << memory->run_status;
+
+  const std::string dir = FreshDir("durable");
+  auto durable_registry = FreshRegistry();
   {
-    auto journal = RunJournal::Create(legacy_dir);
+    auto journal = RunJournal::Create(dir);
     ASSERT_TRUE(journal.ok()) << journal.status();
-    auto report = AnnotateRegistryDurable(generator, *legacy_registry,
-                                          *env.corpus.ontology, *journal);
-    ASSERT_TRUE(report.ok()) << report.status();
-    ASSERT_TRUE(report->complete()) << report->run_status;
+    auto durable = SubmitRun(MakeDurableAnnotateRun(
+        generator, *durable_registry, *env.corpus.ontology, *journal));
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    ASSERT_TRUE(durable->complete()) << durable->run_status;
+    EXPECT_EQ(durable->kind, RunKind::kAnnotateDurable);
+    EXPECT_EQ(durable->annotate.annotated, memory->annotate.annotated);
+    EXPECT_EQ(durable->annotate.decayed, memory->annotate.decayed);
+    EXPECT_EQ(durable->annotate.examples, memory->annotate.examples);
   }
 
-  const std::string facade_dir = FreshDir("facade");
-  auto facade_registry = FreshRegistry();
-  {
-    auto journal = RunJournal::Create(facade_dir);
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    auto result = SubmitRun(MakeDurableAnnotateRun(
-        generator, *facade_registry, *env.corpus.ontology, *journal));
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->complete()) << result->run_status;
-    EXPECT_EQ(result->kind, RunKind::kAnnotateDurable);
-  }
-
-  // Byte-for-byte: the annotations AND the journals the two paths wrote.
-  EXPECT_EQ(Annotations(*facade_registry), Annotations(*legacy_registry));
-  const std::string legacy_journal = JournalBytes(legacy_dir);
-  EXPECT_EQ(JournalBytes(facade_dir), legacy_journal);
-  EXPECT_FALSE(legacy_journal.empty());
+  // Journaling changes where the annotations are committed, never what they
+  // are. The journal bytes themselves are pinned by KbPinTest.
+  EXPECT_EQ(Annotations(*durable_registry), Annotations(*memory_registry));
+  EXPECT_FALSE(JournalBytes(dir).empty());
 }
 
 TEST(RunApiTest, DurableAnnotateJournalByteIdenticalAcrossThreadCounts) {

@@ -17,8 +17,7 @@
 //
 // Every run family routes through the RunRequest facade (core/run_api.h):
 // the annotate/resume/serve commands all build a RunRequest and call
-// SubmitRun — the legacy durable entry points are not called here
-// (dexa-lint rule `legacy-run-entry` enforces it).
+// SubmitRun, the only entry point for durable runs.
 
 #include <fstream>
 #include <iostream>
