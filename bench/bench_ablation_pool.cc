@@ -143,7 +143,7 @@ void BM_HarvestPool(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
   for (auto _ : state) {
     AnnotatedInstancePool pool = HarvestPool(
-        env.provenance, *env.corpus.registry, *env.corpus.ontology);
+        env.provenance, *env.corpus.registry, *env.corpus.ontology, env.kb);
     benchmark::DoNotOptimize(pool.size());
   }
 }

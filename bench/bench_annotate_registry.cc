@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench/bench_env.h"
 #include "common/table.h"
@@ -17,7 +19,7 @@
 #include "corpus/scale.h"
 #include "engine/invocation_engine.h"
 #include "modules/registry_io.h"
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 
 namespace dexa {
 namespace {
@@ -45,12 +47,14 @@ struct AnnotateRun {
 }
 
 /// Runs AnnotateRegistry over a fresh registry through an engine with
-/// `threads` workers and captures timing + serialized annotations.
-AnnotateRun Annotate(const Ontology& ontology, ModuleRegistry& registry,
+/// `threads` workers, reasoning over `kb` (the compiled `ontology`), and
+/// captures timing + serialized annotations.
+AnnotateRun Annotate(std::shared_ptr<const kbimage::CompiledKb> kb,
+                     const Ontology& ontology, ModuleRegistry& registry,
                      const AnnotatedInstancePool& pool, size_t threads) {
   InvocationEngine engine(EngineOptions{.threads = threads});
-  ExampleGenerator generator(kbimage::CompiledKb::CompileOrDie(ontology), &pool,
-                             GeneratorOptions{}, &engine);
+  ExampleGenerator generator(std::move(kb), &pool, GeneratorOptions{},
+                             &engine);
 
   AnnotateRun run;
   auto start = std::chrono::steady_clock::now();
@@ -76,18 +80,14 @@ AnnotateRun RunWithThreads(size_t threads) {
   if (scale_modules > 0) {
     auto corpus = BuildScaleCorpus({/*seed=*/42, scale_modules});
     if (!corpus.ok()) Die("BuildScaleCorpus", corpus.status());
-    return Annotate(*corpus->ontology, *corpus->registry, *corpus->pool,
+    return Annotate(kbimage::CompiledKb::CompileOrDie(*corpus->ontology),
+                    *corpus->ontology, *corpus->registry, *corpus->pool,
                     threads);
   }
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) Die("BuildCorpus", corpus.status());
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  if (!workflows.ok()) Die("GenerateWorkflowCorpus", workflows.status());
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) Die("BuildProvenanceCorpus", provenance.status());
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  return Annotate(*corpus->ontology, *corpus->registry, pool, threads);
+  auto env = BuildEnvironment();
+  if (!env.ok()) Die("BuildEnvironment", env.status());
+  return Annotate(env->kb, *env->corpus.ontology, *env->corpus.registry,
+                  *env->pool, threads);
 }
 
 int RunComparison() {

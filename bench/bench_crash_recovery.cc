@@ -47,7 +47,7 @@ std::string FreshDir(const std::string& name) {
 }
 
 std::unique_ptr<ModuleRegistry> FreshRegistry(
-    const bench_env::Environment& env) {
+    const Environment& env) {
   auto wrapped = WrapRegistryWithFaults(*env.corpus.registry, FaultProfile{});
   if (!wrapped.ok()) Die("WrapRegistryWithFaults", wrapped.status());
   return std::move(wrapped).value();
@@ -65,7 +65,7 @@ struct CrashCell {
   bool identical = false;        ///< Resumed state == uninterrupted state.
 };
 
-CrashCell RunCell(const bench_env::Environment& env, CrashPoint point,
+CrashCell RunCell(const Environment& env, CrashPoint point,
                   const std::string& baseline) {
   CrashCell cell;
   cell.point = point;

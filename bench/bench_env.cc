@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "core/example_generator.h"
 
 namespace dexa {
 namespace bench_env {
@@ -18,24 +21,10 @@ namespace {
 
 const Environment& GetEnvironment() {
   static Environment* env = [] {
-    auto* out = new Environment();
-    auto corpus = BuildCorpus();
-    if (!corpus.ok()) Die("BuildCorpus", corpus.status());
-    out->corpus = std::move(corpus).value();
+    auto built = BuildEnvironment();
+    if (!built.ok()) Die("BuildEnvironment", built.status());
+    auto* out = new Environment(std::move(built).value());
 
-    auto workflows = GenerateWorkflowCorpus(out->corpus);
-    if (!workflows.ok()) Die("GenerateWorkflowCorpus", workflows.status());
-    out->workflows = std::move(workflows).value();
-
-    auto provenance = BuildProvenanceCorpus(out->corpus, out->workflows);
-    if (!provenance.ok()) Die("BuildProvenanceCorpus", provenance.status());
-    out->provenance = std::move(provenance).value();
-
-    out->pool = std::make_unique<AnnotatedInstancePool>(
-        HarvestPool(out->provenance, *out->corpus.registry,
-                    *out->corpus.ontology));
-
-    out->kb = kbimage::CompiledKb::CompileOrDie(*out->corpus.ontology);
     ExampleGenerator generator(out->kb, out->pool.get());
     auto annotated = AnnotateRegistry(generator, *out->corpus.registry);
     if (!annotated.ok()) Die("AnnotateRegistry", annotated.status());

@@ -1,31 +1,17 @@
 #ifndef DEXA_BENCH_BENCH_ENV_H_
 #define DEXA_BENCH_BENCH_ENV_H_
 
-// Shared setup for the benchmark harnesses: builds the full evaluation
-// environment once per binary (corpus, workflow corpus, provenance, pool,
-// registry annotations; decayed modules retired).
+// Shared setup for the benchmark harnesses: builds the evaluation
+// environment once per binary (BuildEnvironment, then registry
+// annotations; decayed modules retired).
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/example_generator.h"
-#include "corpus/corpus.h"
-#include "kbimage/compiled_kb.h"
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 
 namespace dexa {
 namespace bench_env {
-
-struct Environment {
-  Corpus corpus;
-  WorkflowCorpus workflows;
-  ProvenanceCorpus provenance;
-  std::unique_ptr<AnnotatedInstancePool> pool;
-  /// The corpus ontology compiled in memory: what every component reasons
-  /// over.
-  std::shared_ptr<const kbimage::CompiledKb> kb;
-};
 
 /// Builds the environment on first use; aborts with a diagnostic on any
 /// pipeline failure (the benches cannot run without it).

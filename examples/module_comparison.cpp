@@ -7,31 +7,23 @@
 
 #include "core/matcher.h"
 #include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEnvironment();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
-  ExampleGenerator generator(kb, &pool);
-  ModuleMatcher matcher(kb, &generator);
+  const Corpus& corpus = env->corpus;
+  ExampleGenerator generator(env->kb, env->pool.get());
+  ModuleMatcher matcher(env->kb, &generator);
 
   auto compare = [&](const char* left, const char* right) {
-    auto a = corpus->registry->FindByName(left);
-    auto b = corpus->registry->FindByName(right);
+    auto a = corpus.registry->FindByName(left);
+    auto b = corpus.registry->FindByName(right);
     if (!a.ok() || !b.ok()) {
       std::cerr << "lookup failed\n";
       return;

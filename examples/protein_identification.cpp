@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 #include "repair/repair.h"
 #include "workflow/enactor.h"
 #include "workflow/workflow_io.h"
@@ -77,14 +77,17 @@ Workflow BuildFigure6(const ModuleRegistry& registry, const Ontology& onto,
 }  // namespace
 
 int main() {
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  // The corpus with its enacted workflow corpus and provenance: the
+  // provenance is what the repair below matches the retired module on.
+  auto env = BuildEnvironment();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  const ModuleRegistry& registry = *corpus->registry;
-  const Ontology& onto = *corpus->ontology;
-  const KnowledgeBase& kb = *corpus->kb;
+  Corpus& corpus = env->corpus;
+  const ModuleRegistry& registry = *corpus.registry;
+  const Ontology& onto = *corpus.ontology;
+  const KnowledgeBase& kb = *corpus.kb;
 
   // --- Figure 1.
   Workflow figure1 = BuildFigure1(registry, onto);
@@ -117,13 +120,7 @@ int main() {
 
   // --- Figure 6 built against the legacy provider, which then disappears.
   Workflow decayed = BuildFigure6(registry, onto, /*use_retired=*/true);
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  if (Status status = RetireDecayedModules(*corpus); !status.ok()) {
+  if (Status status = RetireDecayedModules(corpus); !status.ok()) {
     std::cerr << status << "\n";
     return 1;
   }
@@ -133,7 +130,7 @@ int main() {
             << broken.status() << "\n";
 
   // Repair: match the retired module, substitute, re-enact.
-  auto matching = MatchRetiredModules(*corpus, *provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance, env->kb);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return 1;

@@ -40,15 +40,16 @@ int main() {
     std::cerr << "BuildProvenanceCorpus failed: " << provenance.status() << "\n";
     return 1;
   }
+  //    All ontology reasoning, the pool's classification included, reads
+  //    the ontology compiled into a KB image.
+  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
   AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
+      HarvestPool(*provenance, *corpus->registry, *corpus->ontology, kb);
   std::cout << "Provenance: " << provenance->num_traces() << " traces, "
             << provenance->num_invocations() << " invocations; pool holds "
             << pool.size() << " annotated instances\n\n";
 
-  // 3. Generate data examples for a module (Section 3.2's heuristic). All
-  //    ontology reasoning reads the ontology compiled into a KB image.
-  auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  // 3. Generate data examples for a module (Section 3.2's heuristic).
   ExampleGenerator generator(kb, &pool);
   auto module = corpus->registry->FindByName("EBI_GetBiologicalSequence");
   if (!module.ok()) {

@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace dexa {
 
@@ -148,6 +149,26 @@ bool ParseDouble(std::string_view s, double* out) {
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   *out = v;
   return true;
+}
+
+Result<uint64_t> ParseDecimal(std::string_view s) {
+  if (s.empty()) return Status::InvalidArgument("empty number");
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument(
+          StrFormat("'%.*s' is not a decimal number",
+                    static_cast<int>(s.size()), s.data()));
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) {
+      return Status::InvalidArgument(StrFormat(
+          "'%.*s' overflows 64 bits", static_cast<int>(s.size()), s.data()));
+    }
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 }  // namespace dexa

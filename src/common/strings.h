@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
+
 namespace dexa {
 
 /// Splits `s` on `sep`, keeping empty fields.
@@ -50,6 +52,11 @@ bool ParseInt64(std::string_view s, int64_t* out);
 
 /// Parses a double; returns false on failure.
 bool ParseDouble(std::string_view s, double* out);
+
+/// Parses an unsigned decimal count: one or more ASCII digits, nothing else
+/// (no sign, no whitespace). Empty input, any other character and values
+/// past UINT64_MAX are a typed InvalidArgument.
+[[nodiscard]] Result<uint64_t> ParseDecimal(std::string_view s);
 
 }  // namespace dexa
 

@@ -94,7 +94,8 @@ struct RunResult {
   /// OK for runs that ran to completion; the abort cause otherwise
   /// (kCancelled for an injected crash of a durable annotate run — crashed
   /// annotate runs still return a partial report covering the committed
-  /// prefix).
+  /// prefix; kUnavailable naming the skipped processors for an enactment
+  /// that stopped short, whose partial outputs stay in `enact`).
   Status run_status;
 
   bool complete() const { return run_status.ok(); }

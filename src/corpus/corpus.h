@@ -19,10 +19,11 @@ struct CorpusOptions {
 
   /// When set, the corpus adopts these instead of generating the knowledge
   /// base (expensive) and building the myGrid ontology from scratch. This
-  /// is how `--kb-image=` runs slot a memory-mapped compiled image in: the
-  /// CLI materializes both from the image and injects them here. The
-  /// prebuilt KB must have been generated with the same seed/options the
-  /// corpus would use — module calibration depends on its contents.
+  /// is how `--kb-image=` runs slot a memory-mapped compiled image in:
+  /// BuildEnvironment materializes both from the image and injects them
+  /// here. The prebuilt KB must have been generated with the same
+  /// seed/options the corpus would use — module calibration depends on its
+  /// contents.
   std::shared_ptr<const KnowledgeBase> prebuilt_kb;
   std::shared_ptr<Ontology> prebuilt_ontology;
 };

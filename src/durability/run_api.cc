@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "corpus/fault_injector.h"
 #include "durability/commit_codec.h"
 #include "durability/journal.h"
@@ -467,6 +468,21 @@ Result<ResilientEnactmentResult> RunDurableEnact(const RunRequest& request) {
   return EnactResilient(workflow, *request.registry, inputs, engine, hooks);
 }
 
+/// Completion status of an enactment: OK when every processor ran, else a
+/// typed kUnavailable naming the processors the run skipped (their module
+/// decayed, or a transient fault outlasted the retry policy).
+Status EnactRunStatus(const Workflow& workflow,
+                      const ResilientEnactmentResult& enact) {
+  if (enact.complete()) return Status::OK();
+  std::string message = "enactment of workflow '";
+  message += workflow.id;
+  message += "' skipped ";
+  message += std::to_string(enact.skipped_processors.size());
+  message += " processor(s): ";
+  message += Join(enact.skipped_processors, ", ");
+  return Status::Unavailable(message);
+}
+
 }  // namespace
 
 const char* RunKindName(RunKind kind) {
@@ -514,6 +530,7 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
                                     request.inputs, *request.engine, hooks);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
+      result.run_status = EnactRunStatus(*request.workflow, result.enact);
       ExportObservability(request.obs, request.engine->metrics().Snapshot());
       return result;
     }
@@ -521,6 +538,7 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
       auto enacted = RunDurableEnact(request);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
+      result.run_status = EnactRunStatus(*request.workflow, result.enact);
       ExportObservability(request.obs, request.engine->metrics().Snapshot());
       return result;
     }

@@ -1,6 +1,7 @@
 #include "provenance/workflow_corpus.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strings.h"
 #include "core/instance_classifier.h"
@@ -460,11 +461,11 @@ Result<ProvenanceCorpus> BuildProvenanceCorpus(
   return provenance;
 }
 
-AnnotatedInstancePool HarvestPool(const ProvenanceCorpus& provenance,
-                                  const ModuleRegistry& registry,
-                                  const Ontology& ontology) {
+AnnotatedInstancePool HarvestPool(
+    const ProvenanceCorpus& provenance, const ModuleRegistry& registry,
+    const Ontology& ontology, std::shared_ptr<const kbimage::CompiledKb> kb) {
   AnnotatedInstancePool pool(&ontology);
-  InstanceClassifier classifier(kbimage::CompiledKb::CompileOrDie(ontology));
+  InstanceClassifier classifier(std::move(kb));
 
   auto add_value = [&](const Parameter& param, const Value& value) {
     if (value.is_null()) return;

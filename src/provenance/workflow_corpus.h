@@ -1,10 +1,12 @@
 #ifndef DEXA_PROVENANCE_WORKFLOW_CORPUS_H_
 #define DEXA_PROVENANCE_WORKFLOW_CORPUS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "core/instance_classifier.h"
 #include "corpus/corpus.h"
 #include "pool/instance_pool.h"
 #include "provenance/seed_catalog.h"
@@ -70,10 +72,11 @@ struct WorkflowCorpusOptions {
 /// every value that flowed through an annotated parameter is added under
 /// the most specific concept it instantiates (coarse annotations are
 /// refined by format/grammar classification; list values contribute their
-/// elements).
-AnnotatedInstancePool HarvestPool(const ProvenanceCorpus& provenance,
-                                  const ModuleRegistry& registry,
-                                  const Ontology& ontology);
+/// elements). Classification reasons over `kb`, the environment's compiled
+/// KB of `ontology`.
+AnnotatedInstancePool HarvestPool(
+    const ProvenanceCorpus& provenance, const ModuleRegistry& registry,
+    const Ontology& ontology, std::shared_ptr<const kbimage::CompiledKb> kb);
 
 }  // namespace dexa
 

@@ -1,6 +1,7 @@
 #include "repair/repair.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "workflow/enactor.h"
 
@@ -76,9 +77,9 @@ int RelationRank(BehaviorRelation relation, bool contextual) {
 
 }  // namespace
 
-Result<MatchingReport> MatchRetiredModules(const Corpus& corpus,
-                                           const ProvenanceCorpus& provenance,
-                                           bool allow_contextual) {
+Result<MatchingReport> MatchRetiredModules(
+    const Corpus& corpus, const ProvenanceCorpus& provenance,
+    std::shared_ptr<const kbimage::CompiledKb> kb, bool allow_contextual) {
   MatchingReport report;
   report.retired_total = corpus.retired_ids.size();
 
@@ -88,10 +89,8 @@ Result<MatchingReport> MatchRetiredModules(const Corpus& corpus,
   // share one compiled KB: the 72 retired × 252 candidate sweep asks its
   // subsumption bitsets constantly.
   AnnotatedInstancePool empty_pool(corpus.ontology.get());
-  DEXA_ASSIGN_OR_RETURN(std::shared_ptr<const kbimage::CompiledKb> kb,
-                        kbimage::CompiledKb::Compile(*corpus.ontology));
   ExampleGenerator generator(kb, &empty_pool);
-  ModuleMatcher matcher(kb, &generator);
+  ModuleMatcher matcher(std::move(kb), &generator);
 
   std::vector<ModulePtr> candidates = corpus.registry->AvailableModules();
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "modules/registry_io.h"
 #include "serve/wire.h"
 
@@ -33,16 +34,10 @@ Result<std::string> ReadTextFile(const std::filesystem::path& path) {
 /// for anything else.
 bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
   const std::string prefix = kRunDirPrefix;
-  if (name.rfind(prefix, 0) != 0 || name.size() == prefix.size()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  index = value;
+  if (name.rfind(prefix, 0) != 0) return false;
+  auto value = ParseDecimal(std::string_view(name).substr(prefix.size()));
+  if (!value.ok()) return false;
+  index = *value;
   return true;
 }
 
@@ -55,41 +50,11 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
       EngineConfig().Threads(env->options_.threads).Seed(env->options_.seed);
   env->engine_ = env->config_.BuildEngine();
 
-  // Same recipe as the CLI's BuildEnv: reason over the loaded image when a
-  // KB image file is given, over the corpus ontology compiled in memory
-  // otherwise. Only a file image pins its seal into durable runs.
-  CorpusOptions corpus_options;
+  DEXA_ASSIGN_OR_RETURN(env->env_,
+                        BuildEnvironment(env->options_.kb_image_path));
   if (!env->options_.kb_image_path.empty()) {
-    auto image = kbimage::CompiledKb::Load(env->options_.kb_image_path);
-    if (!image.ok()) return image.status();
-    env->kb_ = std::move(image).value();
-    env->kb_checksum_ = env->kb_->checksum();
     env->engine_->metrics().RecordKbImageLoad();
-    auto ontology = env->kb_->MaterializeOntology();
-    if (!ontology.ok()) return ontology.status();
-    corpus_options.prebuilt_ontology =
-        std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env->kb_->MaterializeKnowledgeBase();
-    if (!kb.ok()) return kb.status();
-    corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env->kb_->kb_seed();
   }
-  auto corpus = BuildCorpus(corpus_options);
-  if (!corpus.ok()) return corpus.status();
-  env->corpus_ = std::move(corpus).value();
-  if (env->kb_ == nullptr) {
-    DEXA_ASSIGN_OR_RETURN(env->kb_,
-                          kbimage::CompiledKb::Compile(*env->corpus_.ontology));
-  }
-  auto workflows = GenerateWorkflowCorpus(env->corpus_);
-  if (!workflows.ok()) return workflows.status();
-  env->workflows_ = std::move(workflows).value();
-  auto provenance = BuildProvenanceCorpus(env->corpus_, env->workflows_);
-  if (!provenance.ok()) return provenance.status();
-  env->provenance_ = std::move(provenance).value();
-  env->pool_ = std::make_unique<AnnotatedInstancePool>(
-      HarvestPool(env->provenance_, *env->corpus_.registry,
-                  *env->corpus_.ontology));
 
   // Durable runs journal under run-<n> directories; continue the numbering
   // after whatever a previous daemon instance left behind.
@@ -116,7 +81,7 @@ std::string ServeEnv::NextRunDir() {
 
 Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
     size_t offset, size_t count) const {
-  const std::vector<std::string>& ids = corpus_.available_ids;
+  const std::vector<std::string>& ids = env_.corpus.available_ids;
   if (offset > ids.size()) {
     return Status::InvalidArgument("offset " + std::to_string(offset) +
                                    " past the " + std::to_string(ids.size()) +
@@ -126,7 +91,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
   if (end > ids.size()) end = ids.size();
   auto registry = std::make_unique<ModuleRegistry>();
   for (size_t i = offset; i < end; ++i) {
-    auto module = corpus_.registry->Find(ids[i]);
+    auto module = env_.corpus.registry->Find(ids[i]);
     if (!module.ok()) return module.status();
     DEXA_RETURN_IF_ERROR(registry->Register(*module));
   }
@@ -135,7 +100,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
 
 Result<std::unique_ptr<ModuleRegistry>> ServeEnv::FullRegistry() const {
   auto registry = std::make_unique<ModuleRegistry>();
-  for (const ModulePtr& module : corpus_.registry->AllModules()) {
+  for (const ModulePtr& module : env_.corpus.registry->AllModules()) {
     DEXA_RETURN_IF_ERROR(registry->Register(module));
   }
   return registry;
@@ -143,7 +108,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::FullRegistry() const {
 
 std::unique_ptr<ExampleGenerator> ServeEnv::MakeGenerator() const {
   return std::make_unique<ExampleGenerator>(
-      kb_, pool_.get(), config_.generator_options(), engine_.get());
+      env_.kb, env_.pool.get(), config_.generator_options(), engine_.get());
 }
 
 Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,
@@ -193,8 +158,8 @@ Result<PreparedRun> ServeEnv::PrepareDurableAnnotate(
       EncodeWire(descriptor) + "\n"));
 
   run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
-                                       *corpus_.ontology, *run.journal);
-  run.request.kb_checksum = kb_checksum_;
+                                       *env_.corpus.ontology, *run.journal);
+  run.request.kb_checksum = env_.kb_checksum;
   run.request.obs.metrics = run.metrics.get();
   if (crash != nullptr && crash->armed()) {
     run.crash = std::make_unique<CrashPlan>(*crash);
@@ -224,11 +189,11 @@ Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
   run.sharded = std::make_unique<ShardedRunSpec>();
   run.sharded->options.shards = shards;
   run.sharded->options.root = run.journal_dir;
-  run.sharded->options.kb_checksum = kb_checksum_;
+  run.sharded->options.kb_checksum = env_.kb_checksum;
   run.sharded->options.orchestrator = engine_.get();
   run.sharded->config = config_;
-  run.sharded->ontology = corpus_.ontology.get();
-  run.sharded->pool = pool_.get();
+  run.sharded->ontology = env_.corpus.ontology.get();
+  run.sharded->pool = env_.pool.get();
   if (crash != nullptr && crash->armed()) {
     run.crash = std::make_unique<CrashPlan>(*crash);
     run.sharded->options.crash = run.crash.get();
@@ -254,17 +219,17 @@ Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
 Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
                                            bool durable,
                                            const IoFaultProfile* io_fault) {
-  if (workflow_index >= workflows_.items.size()) {
+  if (workflow_index >= env_.workflows.items.size()) {
     return Status::InvalidArgument(
         "workflow index " + std::to_string(workflow_index) + " out of range (" +
-        std::to_string(workflows_.items.size()) + " generated)");
+        std::to_string(env_.workflows.items.size()) + " generated)");
   }
-  const GeneratedWorkflow& item = workflows_.items[workflow_index];
+  const GeneratedWorkflow& item = env_.workflows.items[workflow_index];
 
   PreparedRun run;
   run.metrics = std::make_unique<obs::MetricsRegistry>();
   if (!durable) {
-    run.request = MakeEnactRun(item.workflow, *corpus_.registry, item.seeds,
+    run.request = MakeEnactRun(item.workflow, *env_.corpus.registry, item.seeds,
                                *engine_);
     run.request.obs.metrics = run.metrics.get();
     run.label = "enact " + item.workflow.id;
@@ -289,7 +254,7 @@ Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
   DEXA_RETURN_IF_ERROR(WriteTextFile(
       io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
       EncodeWire(descriptor) + "\n"));
-  run.request = MakeDurableEnactRun(item.workflow, *corpus_.registry,
+  run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
                                     item.seeds, *engine_, *run.journal);
   run.request.obs.metrics = run.metrics.get();
   run.label = "enact-durable " + item.workflow.id;
@@ -328,11 +293,11 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.sharded = std::make_unique<ShardedRunSpec>();
     run.sharded->options.shards = static_cast<uint32_t>(*shards);
     run.sharded->options.root = dir;
-    run.sharded->options.kb_checksum = kb_checksum_;
+    run.sharded->options.kb_checksum = env_.kb_checksum;
     run.sharded->options.orchestrator = engine_.get();
     run.sharded->config = config_;
-    run.sharded->ontology = corpus_.ontology.get();
-    run.sharded->pool = pool_.get();
+    run.sharded->ontology = env_.corpus.ontology.get();
+    run.sharded->pool = env_.pool.get();
     run.request.kind = RunKind::kAnnotateDurable;
     run.label = "resume " + dir;
     return run;
@@ -356,17 +321,17 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.registry = std::move(*registry);
     run.generator = MakeGenerator();
     run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
-                                         *corpus_.ontology, *run.journal);
-    run.request.kb_checksum = kb_checksum_;
+                                         *env_.corpus.ontology, *run.journal);
+    run.request.kb_checksum = env_.kb_checksum;
   } else if (kind == "enact_durable") {
     auto workflow_index = WireUint(*descriptor, "workflow");
     if (!workflow_index.ok()) return workflow_index.status();
-    if (*workflow_index >= workflows_.items.size()) {
+    if (*workflow_index >= env_.workflows.items.size()) {
       return Status::Corrupted("RUN descriptor in " + dir +
                                " names an out-of-range workflow");
     }
-    const GeneratedWorkflow& item = workflows_.items[*workflow_index];
-    run.request = MakeDurableEnactRun(item.workflow, *corpus_.registry,
+    const GeneratedWorkflow& item = env_.workflows.items[*workflow_index];
+    run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
                                       item.seeds, *engine_, *run.journal);
   } else {
     return Status::Corrupted("RUN descriptor in " + dir +
@@ -398,7 +363,7 @@ std::vector<std::string> ServeEnv::UnfinishedJournalDirs() const {
 }
 
 uint64_t ServeEnv::AnnotationsDigest(const ModuleRegistry& registry) const {
-  return StableHash64(SaveAnnotations(registry, *corpus_.ontology));
+  return StableHash64(SaveAnnotations(registry, *env_.corpus.ontology));
 }
 
 uint64_t ServeEnv::EnactDigest(const ResilientEnactmentResult& result) {

@@ -8,10 +8,7 @@
 
 #include "common/result.h"
 #include "core/engine_config.h"
-#include "corpus/corpus.h"
-#include "kbimage/compiled_kb.h"
-#include "pool/instance_pool.h"
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 #include "serve/run_manager.h"
 
 namespace dexa::serve {
@@ -33,15 +30,16 @@ struct ServeEnvOptions {
   uint64_t seed = 0x5eed;
 };
 
-/// Everything the daemon shares across runs — corpus, ontology, concept
-/// cache, workflow corpus, instance pool, and ONE pooled InvocationEngine —
-/// plus the factories that turn protocol-level submissions into
-/// PreparedRuns. The recipe mirrors the CLI's BuildEnv, so every run the
-/// daemon executes is byte-identical to the same run issued one-shot from
-/// the command line (the serve equivalence suite pins this).
+/// Everything the daemon shares across runs — the evaluation environment
+/// (corpus, workflow corpus, provenance, instance pool and the one compiled
+/// KB, built by BuildEnvironment like every other front end's) and ONE
+/// pooled InvocationEngine — plus the factories that turn protocol-level
+/// submissions into PreparedRuns. Every run the daemon executes is
+/// byte-identical to the same run issued one-shot from the command line
+/// (the serve equivalence suite pins this).
 ///
-/// Isolation model: runs share the immutable state (KB, ontology, cache,
-/// pool, modules) and the engine, but each PreparedRun gets its own
+/// Isolation model: runs share the immutable state (KB, ontology, pool,
+/// modules) and the engine, but each PreparedRun gets its own
 /// ModuleRegistry (annotations land per-run), its own ExampleGenerator,
 /// journal, tracer and MetricsRegistry — concurrent tenants cannot observe
 /// each other's annotations or journals.
@@ -102,10 +100,12 @@ class ServeEnv {
   // -- Shared state --------------------------------------------------------
 
   InvocationEngine& engine() { return *engine_; }
-  const Corpus& corpus() const { return corpus_; }
-  size_t workflow_count() const { return workflows_.items.size(); }
-  size_t available_modules() const { return corpus_.available_ids.size(); }
-  uint64_t kb_checksum() const { return kb_checksum_; }
+  const Corpus& corpus() const { return env_.corpus; }
+  size_t workflow_count() const { return env_.workflows.items.size(); }
+  size_t available_modules() const {
+    return env_.corpus.available_ids.size();
+  }
+  uint64_t kb_checksum() const { return env_.kb_checksum; }
   const std::string& journal_root() const { return options_.journal_root; }
 
   /// Stable digest of a run registry's annotations — what clients compare
@@ -132,16 +132,7 @@ class ServeEnv {
   std::unique_ptr<ExampleGenerator> MakeGenerator() const;
 
   ServeEnvOptions options_;
-  Corpus corpus_;
-  WorkflowCorpus workflows_;
-  ProvenanceCorpus provenance_;
-  std::unique_ptr<AnnotatedInstancePool> pool_;
-  /// The KB every run reasons over: the loaded image file, or the corpus
-  /// ontology compiled in memory.
-  std::shared_ptr<const kbimage::CompiledKb> kb_;
-  /// Seal of the image file, or 0 when none was given; pinned into
-  /// durable runs.
-  uint64_t kb_checksum_ = 0;
+  Environment env_;
   EngineConfig config_;
   std::unique_ptr<InvocationEngine> engine_;
   uint64_t next_run_dir_ = 0;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "common/strings.h"
+
 namespace dexa::serve {
 
 namespace {
@@ -195,12 +197,9 @@ Result<uint64_t> WireUint(const WireMessage& message, const std::string& key) {
   }
   const std::string& text = it->second;
   if (text.empty()) return Status::InvalidArgument("empty field '" + key + "'");
-  uint64_t value = 0;
-  for (char ch : text) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return Status::InvalidArgument("field '" + key + "' is not a number");
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
+  auto value = ParseDecimal(text);
+  if (!value.ok()) {
+    return Status::InvalidArgument("field '" + key + "' is not a number");
   }
   return value;
 }

@@ -336,6 +336,7 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
   // byte-identical to a completed one-shot run (which leaves its tail
   // segment unsealed).
   out.records = merged->records_appended();
+  out.merged.metrics.journal_records = out.records;
   DEXA_RETURN_IF_ERROR(merged->Seal());
   return out;
 }

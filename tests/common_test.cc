@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -162,6 +163,18 @@ TEST(StringsTest, ReplaceAll) {
 TEST(StringsTest, ZeroPad) {
   EXPECT_EQ(ZeroPad(42, 5), "00042");
   EXPECT_EQ(ZeroPad(123456, 3), "123456");
+}
+
+TEST(StringsTest, ParseDecimalAcceptsDigitsOnly) {
+  EXPECT_EQ(*ParseDecimal("0"), 0u);
+  EXPECT_EQ(*ParseDecimal("0042"), 42u);
+  EXPECT_EQ(*ParseDecimal("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "12x", "-1", "+1", " 1", "1 ", "1.5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    auto parsed = ParseDecimal(bad);
+    EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(StringsTest, StrFormat) {

@@ -46,20 +46,13 @@ TEST(IntegrationTest, GenerationIsDeterministicAcrossRebuilds) {
   // Rebuild the whole pipeline from the same seed: the annotation of a
   // sample module must be identical.
   const auto& env = GetEnvironment();
-  auto corpus = BuildCorpus();
-  ASSERT_TRUE(corpus.ok());
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  ASSERT_TRUE(workflows.ok());
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  ASSERT_TRUE(provenance.ok());
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(
-      kbimage::CompiledKb::CompileOrDie(*corpus->ontology), &pool);
+  auto rebuilt = BuildEnvironment();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  ExampleGenerator generator(rebuilt->kb, rebuilt->pool.get());
 
   for (const char* name : {"EBI_GetUniprotRecord", "NormalizeAccession",
                            "CompareSequences", "GetConcept"}) {
-    ModulePtr fresh = *corpus->registry->FindByName(name);
+    ModulePtr fresh = *rebuilt->corpus.registry->FindByName(name);
     auto outcome = generator.Generate(*fresh);
     ASSERT_TRUE(outcome.ok()) << name;
     ModulePtr original = *env.corpus.registry->FindByName(name);
@@ -125,7 +118,7 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
   auto failed = Enact(broken->workflow, *env.corpus.registry, broken->seeds);
   EXPECT_TRUE(failed.status().IsDecayed());
 
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.kb);
   ASSERT_TRUE(matching.ok());
   Workflow repaired = broken->workflow;
   for (Processor& processor : repaired.processors) {

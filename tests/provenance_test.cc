@@ -1,7 +1,17 @@
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "kb/knowledge_base.h"
+#include "kbimage/builder.h"
+#include "kbimage/compiled_kb.h"
+#include "modules/registry_io.h"
+#include "ontology/mygrid.h"
+#include "pool/pool_io.h"
+#include "provenance/environment.h"
 #include "tests/test_util.h"
 
 namespace dexa {
@@ -124,6 +134,54 @@ TEST(HarvestTest, PoolRealizationsAreWellFormed) {
     organisms.insert(text.substr(os, text.find('\n', os) - os));
   }
   EXPECT_GE(organisms.size(), 3u);
+}
+
+/// Annotates `env`'s registry and returns the digest of its annotations.
+uint64_t AnnotationsDigest(const Environment& env) {
+  ExampleGenerator generator(env.kb, env.pool.get());
+  auto report = AnnotateRegistry(generator, *env.corpus.registry);
+  EXPECT_TRUE(report.ok()) << report.status();
+  if (report.ok()) {
+    EXPECT_TRUE(report->complete()) << report->run_status;
+  }
+  return StableHash64(SaveAnnotations(*env.corpus.registry,
+                                      *env.corpus.ontology));
+}
+
+TEST(EnvironmentTest, KbImageFileBuildsTheInMemoryEnvironment) {
+  auto in_memory = BuildEnvironment();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+  EXPECT_EQ(in_memory->kb_checksum, 0u);
+
+  // The image `dexa compile-kb` writes: the myGrid ontology and the
+  // corpus's default knowledge base.
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "dexa_environment.img")
+          .string();
+  const CorpusOptions defaults;
+  ASSERT_TRUE(kbimage::WriteKbImage(
+                  BuildMyGridOntology(),
+                  KnowledgeBase(defaults.seed, defaults.kb_options), path)
+                  .ok());
+  auto image = kbimage::CompiledKb::Load(path);
+  ASSERT_TRUE(image.ok()) << image.status();
+
+  auto from_image = BuildEnvironment(path);
+  ASSERT_TRUE(from_image.ok()) << from_image.status();
+  EXPECT_NE(from_image->kb_checksum, 0u);
+  EXPECT_EQ(from_image->kb_checksum, (*image)->checksum());
+
+  EXPECT_EQ(from_image->pool->size(), in_memory->pool->size());
+  EXPECT_EQ(SavePool(*from_image->pool), SavePool(*in_memory->pool));
+  EXPECT_EQ(AnnotationsDigest(*from_image), AnnotationsDigest(*in_memory));
+}
+
+TEST(EnvironmentTest, MissingKbImageFailsTyped) {
+  auto env = BuildEnvironment(
+      (std::filesystem::path(::testing::TempDir()) / "no_such_kb.img")
+          .string());
+  ASSERT_FALSE(env.ok());
+  EXPECT_TRUE(env.status().IsNotFound()) << env.status();
 }
 
 }  // namespace

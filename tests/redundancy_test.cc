@@ -23,7 +23,7 @@ class RedundancyTest : public ::testing::Test {
     return env_.corpus.registry->DataExamplesOf(module->spec().id);
   }
 
-  const testing_env::Environment& env_;
+  const Environment& env_;
   RedundancyDetector detector_;
 };
 
@@ -107,7 +107,7 @@ struct CorpusQuality {
   double recall;
 };
 
-CorpusQuality MeasureCorpusQuality(const testing_env::Environment& env,
+CorpusQuality MeasureCorpusQuality(const Environment& env,
                                    const RedundancyOptions& options) {
   RedundancyDetector detector(options);
   size_t tp = 0, fp = 0, fn = 0;

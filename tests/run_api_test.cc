@@ -255,6 +255,45 @@ TEST(RunApiTest, DurableAnnotateCrashResumesThroughFacade) {
   EXPECT_EQ(Annotations(*resumed_registry), Annotations(*baseline_registry));
 }
 
+/// A corpus workflow with a step on a decayed module (the shared
+/// environment has retired them), so its enactment skips that step.
+const GeneratedWorkflow& PickDecayedWorkflow() {
+  const auto& env = GetEnvironment();
+  for (const GeneratedWorkflow& item : env.workflows.items) {
+    if (item.category == WorkflowCategory::kEquivalentOnly) return item;
+  }
+  ADD_FAILURE() << "no workflow over a decayed module";
+  return env.workflows.items.front();
+}
+
+TEST(RunApiTest, EnactmentThatSkipsAStepIsNotComplete) {
+  const auto& env = GetEnvironment();
+  const GeneratedWorkflow& item = PickDecayedWorkflow();
+
+  InvocationEngine engine;
+  auto enacted = SubmitRun(
+      MakeEnactRun(item.workflow, *env.corpus.registry, item.seeds, engine));
+  ASSERT_TRUE(enacted.ok()) << enacted.status();
+  ASSERT_FALSE(enacted->enact.skipped_processors.empty());
+  EXPECT_FALSE(enacted->complete());
+  EXPECT_EQ(enacted->run_status.code(), StatusCode::kUnavailable);
+  for (const std::string& name : enacted->enact.skipped_processors) {
+    EXPECT_NE(enacted->run_status.message().find(name), std::string::npos)
+        << enacted->run_status << " does not name " << name;
+  }
+
+  // The durable kind reports the same status.
+  const std::string dir = FreshDir("enact_decayed");
+  auto journal = RunJournal::Create(dir, {}, &engine.metrics());
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto durable = SubmitRun(MakeDurableEnactRun(
+      item.workflow, *env.corpus.registry, item.seeds, engine, *journal));
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  EXPECT_FALSE(durable->complete());
+  EXPECT_EQ(durable->run_status.code(), enacted->run_status.code());
+  EXPECT_EQ(durable->run_status.message(), enacted->run_status.message());
+}
+
 TEST(RunApiTest, EnactFacadeMatchesDirectEntry) {
   const auto& env = GetEnvironment();
   const GeneratedWorkflow& item = PickWorkflow();

@@ -37,9 +37,9 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
   ASSERT_TRUE(workflows.ok()) << workflows.status();
   auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
   ASSERT_TRUE(provenance.ok()) << provenance.status();
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
   auto kb = kbimage::CompiledKb::CompileOrDie(*corpus->ontology);
+  AnnotatedInstancePool pool =
+      HarvestPool(*provenance, *corpus->registry, *corpus->ontology, kb);
   ExampleGenerator generator(kb, &pool);
   auto annotated = AnnotateRegistry(generator, *corpus->registry);
   ASSERT_TRUE(annotated.ok()) << annotated.status();
@@ -83,7 +83,7 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
 
   // Figure 8 matching and the repair outcome.
   ASSERT_TRUE(RetireDecayedModules(*corpus).ok());
-  auto matching = MatchRetiredModules(*corpus, *provenance);
+  auto matching = MatchRetiredModules(*corpus, *provenance, kb);
   ASSERT_TRUE(matching.ok()) << matching.status();
   EXPECT_EQ(matching->with_equivalent, 16u);
   EXPECT_EQ(matching->with_overlapping, 23u);

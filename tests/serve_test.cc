@@ -23,6 +23,7 @@
 #include "serve/serve_env.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "tests/test_util.h"
 
 namespace dexa::serve {
 namespace {
@@ -290,6 +291,67 @@ TEST(RunManagerTest, ScheduleAndResultsIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(orders[0], orders[1]);
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(RunManagerTest, EnactmentThatSkipsAStepFailsWithoutDoneMarker) {
+  // The shared test environment has retired the decayed modules, so an
+  // equivalent-only workflow skips its step on one; a healthy one runs
+  // every step.
+  const Environment& env = testing_env::GetEnvironment();
+  const GeneratedWorkflow* healthy = nullptr;
+  const GeneratedWorkflow* decayed = nullptr;
+  for (const GeneratedWorkflow& item : env.workflows.items) {
+    if (healthy == nullptr && item.category == WorkflowCategory::kHealthy) {
+      healthy = &item;
+    }
+    if (decayed == nullptr &&
+        item.category == WorkflowCategory::kEquivalentOnly) {
+      decayed = &item;
+    }
+  }
+  ASSERT_NE(healthy, nullptr);
+  ASSERT_NE(decayed, nullptr);
+
+  InvocationEngine engine;
+  RunManager manager(engine);
+  const std::string root = FreshDir("partial_enact");
+  std::vector<uint64_t> ids;
+  std::vector<std::string> dirs;
+  for (const GeneratedWorkflow* item : {healthy, decayed}) {
+    PreparedRun run;
+    run.journal_dir = root + "/" + item->workflow.id;
+    auto journal = RunJournal::Create(run.journal_dir, {}, &engine.metrics());
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    run.journal = std::make_unique<RunJournal>(std::move(*journal));
+    run.request = MakeDurableEnactRun(item->workflow, *env.corpus.registry,
+                                      item->seeds, engine, *run.journal);
+    run.label = "enact-durable " + item->workflow.id;
+    dirs.push_back(run.journal_dir);
+    auto id = manager.Submit("t", std::move(run));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  EXPECT_EQ(manager.Drain(), 2u);
+
+  auto done = manager.StatusOf(ids[0]);
+  ASSERT_TRUE(done.ok()) << done.status();
+  EXPECT_EQ(done->state, RunState::kDone);
+  EXPECT_TRUE(fs::exists(fs::path(dirs[0]) / "DONE"));
+
+  auto failed = manager.StatusOf(ids[1]);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_EQ(failed->state, RunState::kFailed);
+  EXPECT_FALSE(fs::exists(fs::path(dirs[1]) / "DONE"));
+  // A failed run's result is its typed outcome, naming the skipped step.
+  auto result = manager.ResultOf(ids[1]);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(result.status().message().find(decayed->workflow.id),
+            std::string::npos)
+      << result.status();
+  EXPECT_EQ(failed->outcome, result.status().ToString());
+  EXPECT_EQ(manager.counters().failed, 1u);
+  EXPECT_EQ(manager.counters().completed, 1u);
 }
 
 // -- Server protocol --------------------------------------------------------

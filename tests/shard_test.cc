@@ -271,6 +271,11 @@ TEST_P(ShardEqualityTest, MergedRunIsByteIdenticalToOneShot) {
             reference.report.transient_exhausted);
   EXPECT_EQ(sharded->merged.decayed_ids, reference.report.decayed_ids);
   EXPECT_EQ(sharded->merged_records, corpus.module_ids.size() + 1);
+  // The merged report counts the merged journal's records, as a one-shot
+  // run's report counts its own journal's.
+  EXPECT_EQ(sharded->merged.metrics.journal_records, sharded->merged_records);
+  EXPECT_EQ(sharded->merged.metrics.journal_records,
+            reference.report.metrics.journal_records);
 }
 
 INSTANTIATE_TEST_SUITE_P(

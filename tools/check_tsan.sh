@@ -11,10 +11,9 @@
 # obs_test the Tracer (mutex-guarded span log) riding along pooled
 # annotate runs.
 #
-# This is the ThreadSanitizer leg of the three-sanitizer gate; the
-# one-command entry point is tools/check_static.sh, which runs dexa-lint
-# plus the tier-1 suite under ASan and UBSan. This script stays as-is for
-# compatibility with existing CI wiring.
+# This is the ThreadSanitizer leg of the three-sanitizer gate; CI runs it
+# as its own `tsan` job, next to tools/check_static.sh, which runs
+# dexa-lint plus the tier-1 suite under ASan and UBSan.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/table.h"
 #include "core/composition.h"
 #include "core/coverage.h"
@@ -48,7 +49,7 @@
 #include "obs/trace.h"
 #include "ontology/mygrid.h"
 #include "pool/pool_io.h"
-#include "provenance/workflow_corpus.h"
+#include "provenance/environment.h"
 #include "repair/repair.h"
 #include "serve/server.h"
 #include "shard/sharded_annotate.h"
@@ -59,27 +60,13 @@ namespace {
 
 using namespace dexa;
 
-struct CliEnv {
-  Corpus corpus;
-  WorkflowCorpus workflows;
-  ProvenanceCorpus provenance;
-  std::unique_ptr<AnnotatedInstancePool> pool;
-
-  /// The KB every component the commands construct reasons over: the
-  /// --kb-image file, or the corpus ontology compiled in memory.
-  std::shared_ptr<const kbimage::CompiledKb> kb;
-  /// Seal of the --kb-image file, recorded in durable run headers; 0 when
-  /// no image file was given.
-  uint64_t kb_checksum = 0;
-};
-
 /// Everything a command handler gets: the parsed global flags, the engine
 /// they configure, and a lazily-built evaluation environment.
 struct CliContext {
   std::string kb_image_path;
   EngineConfig config;
   std::unique_ptr<InvocationEngine> engine;
-  std::optional<CliEnv> env;
+  std::optional<Environment> env;
 
   ExampleGenerator MakeGenerator() const {
     return ExampleGenerator(env->kb, env->pool.get(),
@@ -92,46 +79,25 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// The count of a numeric `--<flag>=<n>` argument, read with the one
+/// checked decimal parser: a malformed value is a typed InvalidArgument
+/// naming the flag, never an exception.
+Result<uint64_t> FlagCount(const std::string& arg) {
+  const size_t eq = arg.find('=');
+  auto count = ParseDecimal(std::string_view(arg).substr(eq + 1));
+  if (count.ok()) return count;
+  std::string message = arg.substr(0, eq);
+  message += " takes a decimal count: ";
+  message += count.status().message();
+  return Status::InvalidArgument(message);
+}
+
 /// Builds the evaluation environment into `ctx.env`. `annotate` is false
 /// for the durable/traced subcommands, which run (or resume) the
 /// annotation themselves through the facade instead of inline.
 Status BuildEnv(CliContext& ctx, bool retire, bool annotate) {
-  CliEnv env;
-  CorpusOptions corpus_options;
-  if (!ctx.kb_image_path.empty()) {
-    auto image = kbimage::CompiledKb::Load(ctx.kb_image_path);
-    if (!image.ok()) return image.status();
-    env.kb = std::move(image).value();
-    env.kb_checksum = env.kb->checksum();
-    ctx.engine->metrics().RecordKbImageLoad();
-    // The corpus adopts the image's ontology and KB instead of rebuilding
-    // them; concept ids are dense insertion indices in both, so the
-    // materialized ontology and the image view agree on every ConceptId.
-    auto ontology = env.kb->MaterializeOntology();
-    if (!ontology.ok()) return ontology.status();
-    corpus_options.prebuilt_ontology =
-        std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env.kb->MaterializeKnowledgeBase();
-    if (!kb.ok()) return kb.status();
-    corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env.kb->kb_seed();
-  }
-  auto corpus = BuildCorpus(corpus_options);
-  if (!corpus.ok()) return corpus.status();
-  env.corpus = std::move(corpus).value();
-  if (env.kb == nullptr) {
-    DEXA_ASSIGN_OR_RETURN(env.kb,
-                          kbimage::CompiledKb::Compile(*env.corpus.ontology));
-  }
-  auto workflows = GenerateWorkflowCorpus(env.corpus);
-  if (!workflows.ok()) return workflows.status();
-  env.workflows = std::move(workflows).value();
-  auto provenance = BuildProvenanceCorpus(env.corpus, env.workflows);
-  if (!provenance.ok()) return provenance.status();
-  env.provenance = std::move(provenance).value();
-  env.pool = std::make_unique<AnnotatedInstancePool>(HarvestPool(
-      env.provenance, *env.corpus.registry, *env.corpus.ontology));
-  ctx.env.emplace(std::move(env));
+  DEXA_ASSIGN_OR_RETURN(ctx.env, BuildEnvironment(ctx.kb_image_path));
+  if (!ctx.kb_image_path.empty()) ctx.engine->metrics().RecordKbImageLoad();
   if (annotate) {
     ExampleGenerator generator = ctx.MakeGenerator();
     auto result =
@@ -154,7 +120,7 @@ int WriteFile(const std::string& path, const std::string& content) {
 }
 
 int CmdTables(CliContext& ctx, const std::vector<std::string>&) {
-  const CliEnv& env = *ctx.env;
+  const Environment& env = *ctx.env;
   std::map<ModuleKind, int> census;
   std::map<std::string, int, std::greater<std::string>> completeness;
   std::map<std::string, int, std::greater<std::string>> conciseness;
@@ -196,7 +162,7 @@ int CmdTables(CliContext& ctx, const std::vector<std::string>&) {
 }
 
 int CmdShowModule(CliContext& ctx, const std::string& name) {
-  const CliEnv& env = *ctx.env;
+  const Environment& env = *ctx.env;
   auto module = env.corpus.registry->FindByName(name);
   if (!module.ok()) return Fail(module.status());
   const ModuleSpec& spec = (*module)->spec();
@@ -257,7 +223,7 @@ int CmdAnnotateTraced(CliContext& ctx, const std::string& trace_path,
 /// journal.
 int FinishDurableRun(CliContext& ctx, const std::string& dir,
                      const AnnotateReport& report) {
-  CliEnv& env = *ctx.env;
+  Environment& env = *ctx.env;
   TablePrinter table({"metric", "value"});
   table.AddRow({"modules annotated", std::to_string(report.annotated)});
   table.AddRow({"modules decayed", std::to_string(report.decayed)});
@@ -361,19 +327,12 @@ int CmdAnnotate(CliContext& ctx, const std::vector<std::string>& args) {
         i += 3;
       } else if (args[i].rfind("--shards=", 0) == 0) {
         const std::string value = args[i].substr(9);
-        shards = 0;
-        bool numeric = !value.empty();
-        for (char c : value) {
-          if (c < '0' || c > '9') {
-            numeric = false;
-            break;
-          }
-          shards = shards * 10 + static_cast<uint64_t>(c - '0');
-        }
-        if (!numeric || shards == 0 || shards > 4096) {
+        auto count = ParseDecimal(value);
+        if (!count.ok() || *count == 0 || *count > 4096) {
           return Fail(Status::InvalidArgument(
               "--shards takes a count in [1, 4096], got '" + value + "'"));
         }
+        shards = *count;
         i += 1;
       } else {
         return Fail(Status::InvalidArgument(
@@ -433,7 +392,7 @@ int CmdResume(CliContext& ctx, const std::vector<std::string>& args) {
 }
 
 int CmdCompare(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const Environment& env = *ctx.env;
   auto left = env.corpus.registry->FindByName(args[0]);
   auto right = env.corpus.registry->FindByName(args[1]);
   if (!left.ok()) return Fail(left.status());
@@ -469,7 +428,7 @@ StructuralType DefaultTypeFor(const std::string& concept_name) {
 }
 
 int CmdDiscover(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const Environment& env = *ctx.env;
   ConceptId in_concept = env.corpus.ontology->Find(args[0]);
   ConceptId out_concept = env.corpus.ontology->Find(args[1]);
   if (in_concept == kInvalidConcept || out_concept == kInvalidConcept) {
@@ -494,14 +453,22 @@ int CmdDiscover(CliContext& ctx, const std::vector<std::string>& args) {
 }
 
 int CmdCompose(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const Environment& env = *ctx.env;
   ConceptId in_concept = env.corpus.ontology->Find(args[0]);
   ConceptId out_concept = env.corpus.ontology->Find(args[1]);
   if (in_concept == kInvalidConcept || out_concept == kInvalidConcept) {
     return Fail(Status::NotFound("unknown concept (see export-ontology)"));
   }
   size_t depth = 3;
-  if (args.size() == 3) depth = static_cast<size_t>(std::stoul(args[2]));
+  if (args.size() == 3) {
+    auto parsed = ParseDecimal(args[2]);
+    if (!parsed.ok()) {
+      std::string message = "compose depth: ";
+      message += parsed.status().message();
+      return Fail(Status::InvalidArgument(message));
+    }
+    depth = *parsed;
+  }
   ExampleGuidedComposer composer(env.kb, env.corpus.registry.get(),
                                  env.pool.get());
   CompositionRequest request;
@@ -546,8 +513,8 @@ int CmdStudy(CliContext& ctx, const std::vector<std::string>&) {
 }
 
 int CmdRepair(CliContext& ctx, const std::vector<std::string>&) {
-  CliEnv& env = *ctx.env;
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  Environment& env = *ctx.env;
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.kb);
   if (!matching.ok()) return Fail(matching.status());
   std::cout << "retired modules: " << matching->retired_total
             << "; equivalent: " << matching->with_equivalent
@@ -605,19 +572,18 @@ int CmdCompileKb(CliContext&, const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `dexa serve`: the multi-tenant run-manager daemon. One ServeEnv is
-/// built (same recipe as every other command), then a poll()-driven Server
-/// admits runs over the line protocol until shutdown.
-int CmdServe(CliContext& ctx, const std::vector<std::string>& args) {
-  serve::ServeEnvOptions env_options;
-  env_options.kb_image_path = ctx.kb_image_path;
-  env_options.threads = ctx.config.engine_options().threads;
-  env_options.seed = ctx.config.engine_options().seed;
-  serve::ServerOptions server_options;
-  bool stdio = false;
+/// Parses `dexa serve`'s arguments into the daemon's options.
+Status ParseServeArgs(const std::vector<std::string>& args,
+                      serve::ServeEnvOptions& env_options,
+                      serve::ServerOptions& server_options, bool& stdio) {
+  serve::RunManagerOptions& manager = server_options.manager;
   for (const std::string& arg : args) {
     if (arg.rfind("--port=", 0) == 0) {
-      server_options.port = std::stoi(arg.substr(7));
+      DEXA_ASSIGN_OR_RETURN(uint64_t port, FlagCount(arg));
+      if (port > 65535) {
+        return Status::InvalidArgument("--port takes a port in [0, 65535]");
+      }
+      server_options.port = static_cast<int>(port);
     } else if (arg.rfind("--unix=", 0) == 0) {
       server_options.unix_path = arg.substr(7);
     } else if (arg == "--stdio") {
@@ -625,28 +591,37 @@ int CmdServe(CliContext& ctx, const std::vector<std::string>& args) {
     } else if (arg.rfind("--journal-root=", 0) == 0) {
       env_options.journal_root = arg.substr(15);
     } else if (arg.rfind("--capacity=", 0) == 0) {
-      server_options.manager.capacity =
-          static_cast<size_t>(std::stoul(arg.substr(11)));
+      DEXA_ASSIGN_OR_RETURN(manager.capacity, FlagCount(arg));
     } else if (arg.rfind("--batch=", 0) == 0) {
-      server_options.manager.execute_batch =
-          static_cast<size_t>(std::stoul(arg.substr(8)));
+      DEXA_ASSIGN_OR_RETURN(manager.execute_batch, FlagCount(arg));
     } else if (arg.rfind("--tenant-queued=", 0) == 0) {
-      server_options.manager.per_tenant_max_queued =
-          static_cast<size_t>(std::stoul(arg.substr(16)));
+      DEXA_ASSIGN_OR_RETURN(manager.per_tenant_max_queued, FlagCount(arg));
     } else if (arg.rfind("--tenant-concurrent=", 0) == 0) {
-      server_options.manager.per_tenant_max_concurrent =
-          static_cast<size_t>(std::stoul(arg.substr(20)));
+      DEXA_ASSIGN_OR_RETURN(manager.per_tenant_max_concurrent,
+                            FlagCount(arg));
     } else if (arg.rfind("--deadline-ns=", 0) == 0) {
-      server_options.manager.default_deadline_ns =
-          std::stoull(arg.substr(14));
+      DEXA_ASSIGN_OR_RETURN(manager.default_deadline_ns, FlagCount(arg));
     } else if (arg.rfind("--max-line-bytes=", 0) == 0) {
-      server_options.max_line_bytes =
-          static_cast<size_t>(std::stoul(arg.substr(17)));
+      DEXA_ASSIGN_OR_RETURN(server_options.max_line_bytes, FlagCount(arg));
     } else {
-      return Fail(Status::InvalidArgument("unknown serve argument '" + arg +
-                                          "'"));
+      return Status::InvalidArgument("unknown serve argument '" + arg + "'");
     }
   }
+  return Status::OK();
+}
+
+/// `dexa serve`: the multi-tenant run-manager daemon. One ServeEnv is
+/// built (over BuildEnvironment, like every other command), then a
+/// poll()-driven Server admits runs over the line protocol until shutdown.
+int CmdServe(CliContext& ctx, const std::vector<std::string>& args) {
+  serve::ServeEnvOptions env_options;
+  env_options.kb_image_path = ctx.kb_image_path;
+  env_options.threads = ctx.config.engine_options().threads;
+  env_options.seed = ctx.config.engine_options().seed;
+  serve::ServerOptions server_options;
+  bool stdio = false;
+  Status parsed = ParseServeArgs(args, env_options, server_options, stdio);
+  if (!parsed.ok()) return Fail(parsed);
   auto env = serve::ServeEnv::Create(env_options);
   if (!env.ok()) return Fail(env.status());
   serve::Server server(**env, server_options);
@@ -738,28 +713,37 @@ int Usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-
-  // Global flags may appear anywhere; they choose the KB image and
-  // configure the engine for the whole run, independent of the subcommand.
-  CliContext ctx;
-  ctx.config.Threads(1);
+/// Global flags may appear anywhere; they choose the KB image and
+/// configure the engine for the whole run, independent of the subcommand.
+/// Parsed flags are removed from `args`.
+Status ParseGlobalFlags(std::vector<std::string>& args, CliContext& ctx) {
   for (size_t i = 0; i < args.size();) {
     if (args[i].rfind("--kb-image=", 0) == 0) {
       ctx.kb_image_path = args[i].substr(11);
     } else if (args[i].rfind("--threads=", 0) == 0) {
-      ctx.config.Threads(static_cast<size_t>(std::stoul(args[i].substr(10))));
+      DEXA_ASSIGN_OR_RETURN(uint64_t threads, FlagCount(args[i]));
+      ctx.config.Threads(threads);
     } else if (args[i].rfind("--seed=", 0) == 0) {
-      ctx.config.Seed(std::stoull(args[i].substr(7)));
+      DEXA_ASSIGN_OR_RETURN(uint64_t seed, FlagCount(args[i]));
+      ctx.config.Seed(seed);
     } else {
       ++i;
       continue;
     }
     args.erase(args.begin() + static_cast<long>(i));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::vector<std::string> args(argv + 1, argv + argc);
+
+  CliContext ctx;
+  ctx.config.Threads(1);
+  Status parsed = ParseGlobalFlags(args, ctx);
+  if (!parsed.ok()) return Fail(parsed);
   if (args.empty()) return Usage();
   const std::string command_name = args[0];
   args.erase(args.begin());
